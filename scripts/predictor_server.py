@@ -30,8 +30,10 @@ def make_handler(predictor):
             if self.path.rstrip("/") != "/predict":
                 self.send_error(404)
                 return
-            length = int(self.headers.get("Content-Length", 0))
             try:
+                length = int(self.headers.get("Content-Length", 0))
+                if length < 0:
+                    raise ValueError(f"negative Content-Length {length}")
                 payload = json.loads(self.rfile.read(length))
                 query = PredictorQuery(
                     tuple(payload["tokens"]), payload["mask_index"], payload["k"]

@@ -149,7 +149,7 @@ def split_flat(text: str) -> list[Line]:
 
 def is_punctuation(token: str) -> bool:
     """True for tokens with no alphanumeric content ("?", "...")."""
-    return not any(ch.isalnum() for ch in token)
+    return not any(map(str.isalnum, token))
 
 
 def is_number(token: str) -> bool:

@@ -11,6 +11,7 @@ talks to an external masked-language-model service.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -57,14 +58,17 @@ class PredictorQuery:
 
 @dataclass(frozen=True)
 class CandidateList:
-    """Replacement candidates ordered by descending score."""
+    """Replacement candidates with finite scores, ordered by descending score."""
 
     candidates: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
         scores = [s for _, s in self.candidates]
+        # NaN compares false both ways, so it would pass the order check.
+        if not all(map(math.isfinite, scores)):
+            raise ValueError("candidate scores must be finite")
         if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("candidates must be sorted by descending score")
+            raise ValueError("candidates not sorted by descending score")
 
     def tokens(self) -> list[str]:
         return [t for t, _ in self.candidates]
@@ -279,7 +283,8 @@ def remote_predict(
 
     Network failures and 5xx responses are retried with exponential
     backoff (``backoff`` seconds, doubling); a malformed or unsorted
-    response raises a protocol error immediately.
+    response, or one with a non-finite score, raises a protocol error
+    immediately.
     """
     payload = {
         "tokens": list(query.tokens),
@@ -330,10 +335,10 @@ def _parse_response(resp: requests.Response, k: int) -> CandidateList:
         raise PredictorProtocolError(
             f"{len(pairs)} candidates exceed requested k={k}: {excerpt!r}"
         )
-    scores = [s for _, s in pairs]
-    if any(a < b for a, b in zip(scores, scores[1:])):
-        raise PredictorProtocolError(f"candidates not sorted by score: {excerpt!r}")
-    return CandidateList(tuple(pairs))
+    try:
+        return CandidateList(tuple(pairs))
+    except ValueError as exc:
+        raise PredictorProtocolError(f"{exc}: {excerpt!r}") from exc
 
 
 @dataclass

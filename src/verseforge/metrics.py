@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Verse, is_punctuation
-from .phonetics import Lexicon, transcribe, vowel_sequence
+from .phonetics import Lexicon, vowel_sequence
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def rhyme_length(w1: str, w2: str, lex: Lexicon) -> int:
         raise ValueError("rhyme_length requires non-empty tokens")
     if w1 == w2:
         return 0
-    v1 = transcribe(w1, lex).vowels()
-    v2 = transcribe(w2, lex).vowels()
+    v1 = lex.vowels(w1)
+    v2 = lex.vowels(w2)
     k = 0
     while k < len(v1) and k < len(v2) and v1[-1 - k] == v2[-1 - k]:
         k += 1
@@ -72,29 +72,44 @@ def per_word_rhyme_lengths(verse: Verse, lex: Lexicon, cfg: RhymeConfig) -> list
     some word ``j`` among the previous ``lookback_window`` words. Matches
     run through the concatenated vowel stream, so they may cross word
     boundaries. Words without vowels score 0.
+
+    A word with vowels ends strictly after every earlier word (``p_j <
+    p_i``), so a match is bounded by ``p_j`` alone, and only an earlier
+    word whose stream position ends on the same vowel can match at all;
+    earlier words are therefore looked up by that last vowel, not scanned.
     """
     tokens = verse.all_tokens()
     seq = vowel_sequence(tokens, lex)
     vowels = seq.vowels
     marks = seq.word_end_marks
+    window = cfg.lookback_window
+    exclude_identical = cfg.exclude_identical
+    # Last vowel at a word's end mark -> indices of the words ending there.
+    ending_on: dict[str, list[int]] = {}
     lengths: list[int] = []
+    p_prev = 0
     for i, tok in enumerate(tokens):
         p_i = marks[i]
-        n_own = p_i - (marks[i - 1] if i > 0 else 0)
-        if n_own == 0:
+        if p_i == 0:
             lengths.append(0)
             continue
+        same_end = ending_on.setdefault(vowels[p_i - 1], [])
         best = 0
-        for j in range(max(0, i - cfg.lookback_window), i):
-            if cfg.exclude_identical and tokens[j] == tok:
-                continue
-            p_j = marks[j]
-            k = 0
-            limit = min(p_i, p_j)
-            while k < limit and vowels[p_i - 1 - k] == vowels[p_j - 1 - k]:
-                k += 1
-            if k > best:
-                best = k
+        if p_i != p_prev:
+            lo = i - window
+            for j in reversed(same_end):
+                if j < lo:
+                    break
+                if exclude_identical and tokens[j] == tok:
+                    continue
+                p_j = marks[j]
+                k = 1
+                while k < p_j and vowels[p_i - 1 - k] == vowels[p_j - 1 - k]:
+                    k += 1
+                if k > best:
+                    best = k
+        same_end.append(i)
+        p_prev = p_i
         lengths.append(best)
     return lengths
 
@@ -133,10 +148,17 @@ def repetition_score(verse: Verse) -> float:
     n = len(verse.lines)
     if n < 2:
         return 0.0
+    # A word of line i occurs in another line exactly when more than one
+    # line contains it, so one count over all lines replaces rebuilding
+    # "the rest of the verse" for every line.
+    sets = [_content_set(line) for line in verse.lines]
+    lines_with: Counter[str] = Counter()
+    for words in sets:
+        lines_with.update(words)
     total = 0.0
-    for i, line in enumerate(verse.lines):
-        rest = [tok for j, other in enumerate(verse.lines) if j != i for tok in other]
-        total += unigram_overlap(rest, line)
+    for words in sets:
+        if words:
+            total += sum(lines_with[w] > 1 for w in words) / len(words)
     return total / n
 
 

@@ -43,16 +43,32 @@ class Pronunciation:
 
 @dataclass
 class Lexicon:
-    """Word to primary pronunciation map (first listed variant wins)."""
+    """Word to primary pronunciation map (first listed variant wins).
+
+    :meth:`vowels` memoises each word's vowel projection on its first
+    lookup, so ``entries`` must not be mutated after that: a later edit
+    would not reach words already looked up. The memo takes no part in
+    equality or ``repr``.
+    """
 
     entries: dict[str, Pronunciation] = field(default_factory=dict)
     source: str | None = None
+    _vowel_memo: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def get(self, word: str) -> Pronunciation | None:
         return self.entries.get(word.lower())
+
+    def vowels(self, word: str) -> tuple[str, ...]:
+        """``transcribe(word, self).vowels()``, computed once per word."""
+        found = self._vowel_memo.get(word)
+        if found is None:
+            found = self._vowel_memo[word] = transcribe(word, self).vowels()
+        return found
 
 
 @dataclass(frozen=True)
@@ -138,6 +154,6 @@ def vowel_sequence(words: list[str], lex: Lexicon) -> VowelSeq:
     vowels: list[str] = []
     marks: list[int] = []
     for word in words:
-        vowels.extend(transcribe(word, lex).vowels())
+        vowels.extend(lex.vowels(word))
         marks.append(len(vowels))
     return VowelSeq(tuple(vowels), tuple(marks))

@@ -37,24 +37,42 @@ def load_hypotheses(path: str | Path) -> list[Hypothesis]:
     """Read a JSON-lines batch of {"rank": int, "text": "... <nl> ..."}.
 
     Ranks must be unique within a batch; they are the deterministic
-    tie-breaker during reranking.
+    tie-breaker during reranking. A malformed record raises ValueError
+    naming the file and line.
     """
     hyps = []
     seen: set[int] = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        hyp = hypothesis_from_record(json.loads(raw))
+        try:
+            hyp = hypothesis_from_record(json.loads(raw))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if hyp.generator_rank in seen:
-            raise ValueError(f"duplicate hypothesis rank {hyp.generator_rank} in {path}")
+            raise ValueError(
+                f"{path}:{lineno}: duplicate hypothesis rank {hyp.generator_rank}"
+            )
         seen.add(hyp.generator_rank)
         hyps.append(hyp)
     return hyps
 
 
 def hypothesis_from_record(record: dict) -> Hypothesis:
-    lines = [line for line in split_flat(record["text"]) if line]
-    return Hypothesis(verse=Verse(lines), generator_rank=int(record["rank"]))
+    """Build a hypothesis from one parsed record; ValueError if malformed."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    for key in ("rank", "text"):
+        if key not in record:
+            raise ValueError(f"record lacks {key!r}")
+    rank, text = record["rank"], record["text"]
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a string, got {type(text).__name__}")
+    lines = [line for line in split_flat(text) if line]
+    return Hypothesis(verse=Verse(lines), generator_rank=rank)
 
 
 def rerank(

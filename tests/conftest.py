@@ -36,6 +36,12 @@ HURRICANE  HH ER1 AH0 K EY2 N
 
 TOY_WORDS = [line.split()[0].lower() for line in TOY_LEXICON.splitlines()]
 
+# Toy words plus mixed-case, out-of-lexicon, vowel-less and punctuation
+# tokens, for the property tests of the memoised and early-exit fast paths.
+MIXED_TOKENS = TOY_WORDS + [
+    "Day", "NIGHT", "Bat", "zorbly", "splay", "yolk", "hmm", "brr", ",", "?", "...", "'s", "x9"
+]
+
 
 @pytest.fixture(scope="session")
 def toy_lex(tmp_path_factory) -> Lexicon:

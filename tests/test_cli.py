@@ -241,6 +241,26 @@ class TestRerankCommand:
         assert record["score"] == pytest.approx(record["rd"] - record["rep"])
 
 
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            ('[0, "go slow"]', "JSON object"),
+            ('{"text": "go slow"}', "'rank'"),
+            ('{"rank": 1}', "'text'"),
+            ('{"rank": "1", "text": "go slow"}', "integer"),
+            ('{"rank": 1.5, "text": "go slow"}', "integer"),
+        ],
+    )
+    def test_malformed_record_is_a_json_error(self, capsys, tmp_path, record, problem):
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text('{"rank": 0, "text": "go slow flow"}\n' + record + "\n")
+        code, out, err = run_cli(capsys, "rerank", "--hypotheses", hyps)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error.startswith(f"{hyps}:2: ")
+        assert problem in error
+
+
 class TestRetrieveCommand:
     def test_ad_hoc_index_and_persistence(self, capsys, tmp_path):
         query = tmp_path / "query.txt"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -64,6 +65,13 @@ class TestQueryTypes:
         with pytest.raises(ValueError):
             CandidateList((("a", 1.0), ("b", 2.0)))
         CandidateList((("a", 2.0), ("b", 2.0), ("c", 1.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scores_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CandidateList((("a", bad), ("b", 1.0)))
+        with pytest.raises(ValueError, match="finite"):
+            CandidateList((("a", 2.0), ("b", bad)))
 
 
 class TestMaskText:

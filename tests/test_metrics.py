@@ -16,19 +16,22 @@ from verseforge.metrics import (
     rhyme_length,
     unigram_overlap,
 )
-from verseforge.phonetics import Lexicon, vowel_sequence
+from verseforge.phonetics import Lexicon, transcribe, vowel_sequence
 
-from conftest import TOY_WORDS, random_verse
+from conftest import MIXED_TOKENS, TOY_WORDS, random_verse
 
 
 def brute_force_lengths(tokens, lex, window=15, exclude_identical=True):
     """Exhaustive (i, j, k) enumeration of matching vowel suffixes.
 
-    Independent of the shipped scan: every candidate k is tested by slice
-    comparison over the concatenated vowel stream.
+    Independent of the shipped scan and of the lexicon's vowel memo: the
+    stream is built from uncached transcriptions, and every candidate k is
+    tested by slice comparison over it.
     """
-    seq = vowel_sequence(tokens, lex)
-    vowels, marks = list(seq.vowels), list(seq.word_end_marks)
+    vowels, marks = [], []
+    for tok in tokens:
+        vowels.extend(transcribe(tok, lex).vowels())
+        marks.append(len(vowels))
     out = []
     for i, tok in enumerate(tokens):
         start = marks[i - 1] if i else 0
@@ -135,6 +138,17 @@ class TestRhymeDensity:
         slow = brute_force_lengths(verse.all_tokens(), toy_lex)
         assert fast == slow
 
+    @given(
+        st.lists(st.lists(st.sampled_from(MIXED_TOKENS), max_size=8), max_size=6),
+        st.integers(min_value=1, max_value=20),
+        st.booleans(),
+    )
+    def test_property_matches_uncached_brute_force(self, toy_lex, lines, window, exclude):
+        verse = Verse(lines)
+        cfg = RhymeConfig(lookback_window=window, exclude_identical=exclude)
+        fast = per_word_rhyme_lengths(verse, toy_lex, cfg)
+        assert fast == brute_force_lengths(verse.all_tokens(), toy_lex, window, exclude)
+
 
 class TestUnigramOverlap:
     def test_identity(self):
@@ -161,6 +175,18 @@ class TestUnigramOverlap:
             assert value == 1.0
 
 
+def repetition_reference(verse):
+    """The O(lines^2) definition: each line's overlap with all other lines."""
+    n = len(verse.lines)
+    if n < 2:
+        return 0.0
+    total = 0.0
+    for i, line in enumerate(verse.lines):
+        rest = [tok for j, other in enumerate(verse.lines) if j != i for tok in other]
+        total += unigram_overlap(rest, line)
+    return total / n
+
+
 class TestRepetitionScore:
     def test_identical_lines(self):
         assert repetition_score(Verse([["a", "b"], ["a", "b"]])) == 1.0
@@ -180,6 +206,11 @@ class TestRepetitionScore:
     @given(st.lists(st.lists(st.sampled_from(TOY_WORDS), min_size=1, max_size=6), max_size=6))
     def test_bounds(self, lines):
         assert 0.0 <= repetition_score(Verse(lines)) <= 1.0
+
+    @given(st.lists(st.lists(st.sampled_from(MIXED_TOKENS), max_size=8), max_size=8))
+    def test_property_equals_quadratic_reference(self, lines):
+        verse = Verse(lines)
+        assert repetition_score(verse) == repetition_reference(verse)
 
 
 def test_scored_verse_invariant():

@@ -13,7 +13,7 @@ from verseforge.phonetics import (
     vowel_sequence,
 )
 
-from conftest import TOY_WORDS
+from conftest import MIXED_TOKENS, TOY_WORDS
 
 EMPTY = Lexicon()
 
@@ -131,3 +131,27 @@ class TestVowelSequence:
         assert (seq.word_end_marks[-1] if words else 0) == len(seq.vowels)
         total = sum(len(transcribe(w, EMPTY).vowels()) for w in words)
         assert len(seq.vowels) == total
+
+
+class TestVowelMemo:
+    @given(st.lists(st.sampled_from(MIXED_TOKENS), max_size=20))
+    def test_memo_equals_uncached_transcription(self, toy_lex, words):
+        lex = Lexicon(dict(toy_lex.entries))
+        for word in words + words:
+            assert lex.vowels(word) == transcribe(word, lex).vowels()
+
+    @given(st.lists(st.sampled_from(MIXED_TOKENS), min_size=1, max_size=20))
+    def test_memo_leaves_equality_and_repr_unchanged(self, toy_lex, words):
+        used = Lexicon(dict(toy_lex.entries), toy_lex.source)
+        fresh = Lexicon(dict(toy_lex.entries), toy_lex.source)
+        before = repr(used)
+        for word in words:
+            used.vowels(word)
+        assert used == fresh
+        assert repr(used) == repr(fresh) == before
+
+    def test_empty_word_rejected_and_not_memoised(self):
+        lex = Lexicon()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                lex.vowels("")

@@ -1,9 +1,12 @@
 """Remote masked-predictor client against a scripted loopback HTTP stub."""
 
+import http.client
+import importlib.util
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +95,13 @@ def test_unsorted_response_is_protocol_error():
     body = {"candidates": [{"token": "a", "score": 1.0}, {"token": "b", "score": 2.0}]}
     with StubServer([(200, body)]) as stub:
         with pytest.raises(PredictorProtocolError, match="not sorted"):
+            remote_predict(stub.endpoint, QUERY)
+
+
+def test_non_finite_score_is_protocol_error():
+    body = '{"candidates": [{"token": "a", "score": NaN}, {"token": "b", "score": 1.0}]}'
+    with StubServer([(200, body)]) as stub:
+        with pytest.raises(PredictorProtocolError, match="finite"):
             remote_predict(stub.endpoint, QUERY)
 
 
@@ -202,3 +212,35 @@ def test_cli_remote_failure_reports_retryable_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert "attempts" in json.loads(err)["error"]
+
+
+def _load_predictor_server():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "predictor_server.py"
+    spec = importlib.util.spec_from_file_location("predictor_server", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_predictor_server_rejects_bad_content_length(length):
+    script = _load_predictor_server()
+    predictor = script.build_corpus_predictor([Verse([["day", "way"], ["play", "day"]])])
+    server = ThreadingHTTPServer(("127.0.0.1", 0), script.make_handler(predictor))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        conn.putrequest("POST", "/predict")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        assert response.status == 400
+        conn.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
