@@ -448,6 +448,7 @@ def _cmd_enhance(args) -> None:
     cfg = EnhanceConfig(
         k=args.k, mode=_MODE_ALIASES.get(args.mode, args.mode), deny_list=deny
     )
+    rhyme = RhymeConfig(lookback_window=args.window)
     predictor = _make_predictor(args, lex)
     for verse in _analysis_verses(args.path, args.min_lines):
         enhanced = enhance_verse(verse, predictor, cfg, lex)
@@ -456,8 +457,8 @@ def _cmd_enhance(args) -> None:
                 "doc": verse.source_doc,
                 "text": join_lines(enhanced.lines),
                 "replaced": [list(p) for p in replaced_positions(verse, enhanced)],
-                "rd_before": rhyme_density(verse, lex),
-                "rd_after": rhyme_density(enhanced, lex),
+                "rd_before": rhyme_density(verse, lex, rhyme),
+                "rd_after": rhyme_density(enhanced, lex, rhyme),
             }
         )
 
@@ -600,6 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enhance.add_argument("--mode", default="first", choices=["first", "best"])
     p_enhance.add_argument("--deny", help="deny list, one word per line")
     p_enhance.add_argument("--min-lines", type=int, default=1)
+    p_enhance.add_argument("--window", type=int, default=15)
     p_enhance.set_defaults(func=_cmd_enhance)
 
     p_rerank = sub.add_parser("rerank", help="pick the best hypothesis by rd - rep")

@@ -330,7 +330,10 @@ def _parse_response(resp: requests.Response, k: int) -> CandidateList:
             or not isinstance(item.get("score"), (int, float))
         ):
             raise PredictorProtocolError(f"malformed candidate entry: {excerpt!r}")
-        pairs.append((item["token"], float(item["score"])))
+        try:
+            pairs.append((item["token"], float(item["score"])))
+        except OverflowError as exc:
+            raise PredictorProtocolError(f"score out of float range: {excerpt!r}") from exc
     if len(pairs) > k:
         raise PredictorProtocolError(
             f"{len(pairs)} candidates exceed requested k={k}: {excerpt!r}"

@@ -10,10 +10,17 @@ is 24 hypotheses, but any size works.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
+import re
+from array import array
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
+from urllib.parse import quote, unquote
 
 from .corpus import Document, Verse, split_flat
 from .metrics import RhymeConfig, ScoredVerse, score_verse
@@ -93,12 +100,27 @@ def rerank(
     return best
 
 
+class Postings(NamedTuple):
+    """Inverted TF-IDF index: term dimension -> (document, weight) pairs.
+
+    The postings of dimension ``d`` are ``docs[offsets[d]:offsets[d + 1]]``
+    with the matching ``weights``, documents in ascending position.
+    """
+
+    offsets: array  # 'q', one entry per dimension plus one
+    docs: array  # 'i', document positions
+    weights: array  # 'd', the weight of the dimension in that document
+
+
 @dataclass
 class RetrievalIndex:
     """Sparse TF-IDF index over a fixed document list.
 
     ``vectors[i]`` maps term dimension to L2-normalized weight; documents
-    loaded back from disk are represented by their ids only.
+    loaded back from disk are represented by their ids only. Dimensions
+    are ``0..len(vocabulary) - 1`` and weights are finite and
+    non-negative. The first TF-IDF query builds :attr:`postings` from
+    ``vectors`` and keeps it, so do not mutate ``vectors`` after that.
     """
 
     doc_ids: list[str]
@@ -109,6 +131,27 @@ class RetrievalIndex:
     n_docs: int
     word_vectors: dict[str, list[float]] | None = None
     stopwords: frozenset[str] = field(default_factory=frozenset)
+
+    @cached_property
+    def postings(self) -> Postings:
+        """Postings of every dimension, counted into preallocated arrays."""
+        n_dims = len(self.vocabulary)
+        offsets = array("q", [0]) * (n_dims + 1)
+        for vec in self.vectors:
+            for dim in vec:
+                offsets[dim + 1] += 1
+        for dim in range(n_dims):
+            offsets[dim + 1] += offsets[dim]
+        docs = array("i", [0]) * offsets[n_dims]
+        weights = array("d", [0.0]) * offsets[n_dims]
+        free = offsets[:-1]
+        for doc, vec in enumerate(self.vectors):
+            for dim, w in vec.items():
+                slot = free[dim]
+                docs[slot] = doc
+                weights[slot] = w
+                free[dim] = slot + 1
+        return Postings(offsets, docs, weights)
 
 
 def _tokens_of(obj) -> list[str]:
@@ -243,15 +286,71 @@ def _query_vector(index: RetrievalIndex, query) -> dict[int, float]:
     return _weigh(tokens, index.vocabulary, index.df, index.n_docs)
 
 
+# In any order, a float sum of n non-negative terms is within a relative
+# (n - 1) * 2**-53 of the exact sum (Higham, "Accuracy and Stability of
+# Numerical Algorithms", 4.2), so a document and the k-th best can each be
+# off by that much; this per-term margin is far wider.
+_REORDER_MARGIN = 1e-14
+
+
+def _cosine(qvec: dict[int, float], dvec: dict[int, float]):
+    """Dot product summed in the shorter vector's order; int 0 if one is empty."""
+    small, large = (qvec, dvec) if len(qvec) <= len(dvec) else (dvec, qvec)
+    return sum(w * large.get(d, 0.0) for d, w in small.items())
+
+
+def _top_k(sims, positions, k: int) -> list[int]:
+    """The k positions of highest similarity, ties by position.
+
+    ``positions`` must ascend: ``heapq.nlargest`` is stable, so among equal
+    similarities the earlier position wins.
+    """
+    return heapq.nlargest(k, positions, key=sims.__getitem__)
+
+
 def retrieve_indices(index: RetrievalIndex, query, k: int = 1) -> list[tuple[int, float]]:
-    """Top-k (document position, cosine similarity), ties by insertion order."""
+    """Top-k (document position, cosine similarity), ties by insertion order.
+
+    Similarities are bit-identical to scoring every document with
+    :func:`_cosine`. Word-vector indexes are dense and are scored that way;
+    TF-IDF indexes score term-at-a-time over :attr:`RetrievalIndex.postings`.
+    """
     qvec = _query_vector(index, query)
-    sims = []
-    for dvec in index.vectors:
-        small, large = (qvec, dvec) if len(qvec) <= len(dvec) else (dvec, qvec)
-        sims.append(sum(w * large.get(d, 0.0) for d, w in small.items()))
-    order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))[:k]
-    return [(i, sims[i]) for i in order]
+    vectors = index.vectors
+    k = len(range(len(vectors))[:k])  # as many as [:k] of a full ranking
+    if index.word_vectors is not None:
+        sims = [_cosine(qvec, dvec) for dvec in vectors]
+        return [(i, sims[i]) for i in _top_k(sims, range(len(sims)), k)]
+    offsets, docs, weights = index.postings
+    acc: dict[int, float] = {}
+    get = acc.get
+    for d, qw in qvec.items():
+        lo, hi = offsets[d], offsets[d + 1]
+        for doc, w in zip(docs[lo:hi], weights[lo:hi]):
+            acc[doc] = get(doc, 0.0) + qw * w
+    # acc sums in query order; _cosine sums in the shorter vector's order,
+    # which can round differently. Only documents within the reordering
+    # margin of the k-th best can reach the top k, so only they are
+    # rescored exactly.
+    cut = 0.0
+    if 0 < k < len(acc):
+        kth = heapq.nlargest(k, acc.values())[-1]
+        if kth < math.inf:  # an overflowed sum has no such bound
+            cut = kth * (1.0 - len(qvec) * _REORDER_MARGIN)
+    exact = {
+        doc: _cosine(qvec, vectors[doc])
+        for doc, s in acc.items()
+        if s > 0.0 and s >= cut
+    }
+    ranked = _top_k(exact, sorted(exact), k)
+    # Fewer than k positive scores: every other document scores zero, and
+    # zeros tie, so they follow in insertion order.
+    unscored = (i for i in range(len(vectors)) if i not in exact)
+    ranked += itertools.islice(unscored, k - len(ranked))
+    return [
+        (i, exact[i] if i in exact else 0.0 if qvec and vectors[i] else 0)
+        for i in ranked
+    ]
 
 
 def retrieve(index: RetrievalIndex, query, k: int = 1) -> list[tuple[object, float]]:
@@ -262,8 +361,17 @@ def retrieve(index: RetrievalIndex, query, k: int = 1) -> list[tuple[object, flo
     return [(index.documents[i], sim) for i, sim in retrieve_indices(index, query, k)]
 
 
+# Whitespace separates the fields of a vectors.txt line, so ids escape it,
+# and "%" so that decoding is exact.
+_ID_ESCAPES = re.compile(r"[\s%]")
+
+
 def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
-    """Persist a TF-IDF index: vocabulary.tsv + vectors.txt."""
+    """Persist a TF-IDF index: vocabulary.tsv + vectors.txt.
+
+    Whitespace and "%" in document ids are percent-encoded; other ids are
+    written as they are.
+    """
     if index.word_vectors is not None:
         raise ValueError("only TF-IDF indexes support persistence")
     dir_path = Path(dir_path)
@@ -273,33 +381,59 @@ def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
             fh.write(f"{term}\t{dim}\t{index.df[term]}\n")
     with (dir_path / VECTORS_FILE).open("w", encoding="utf-8") as fh:
         for doc_id, vec in zip(index.doc_ids, index.vectors):
-            safe_id = "_".join(doc_id.split())
+            safe_id = _ID_ESCAPES.sub(lambda m: quote(m[0], safe=""), doc_id)
             pairs = " ".join(f"{d}:{w:.17g}" for d, w in sorted(vec.items()))
             fh.write(f"{safe_id} {pairs}".rstrip() + "\n")
 
 
 def load_index(dir_path: str | Path) -> RetrievalIndex:
-    """Load a persisted TF-IDF index; documents come back as bare ids."""
+    """Load a persisted TF-IDF index; documents come back as bare ids.
+
+    Line n of vocabulary.tsv holds dimension n-1 of a new term, with a
+    document frequency in ``1..N``; vectors.txt dimensions must be below
+    ``V`` and weights finite and non-negative. A malformed file raises
+    ValueError naming the file and line.
+    """
     dir_path = Path(dir_path)
+    vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
+    vocab_lines = vocab_path.read_text(encoding="utf-8").splitlines()
+    vector_lines = vectors_path.read_text(encoding="utf-8").splitlines()
+    n_dims, n_docs = len(vocab_lines), len(vector_lines)
     vocabulary: dict[str, int] = {}
     df: dict[str, int] = {}
-    for raw in (dir_path / VOCAB_FILE).read_text(encoding="utf-8").splitlines():
-        term, dim, count = raw.split("\t")
-        vocabulary[term] = int(dim)
-        df[term] = int(count)
+    for dim, raw in enumerate(vocab_lines):
+        try:
+            term, stored_dim, count = raw.split("\t")
+            stored_dim, count = int(stored_dim), int(count)
+            if stored_dim != dim:
+                raise ValueError(f"dimension {stored_dim}, expected {dim}")
+            if term in vocabulary:
+                raise ValueError(f"duplicate term {term!r}")
+            if not 1 <= count <= n_docs:
+                raise ValueError(f"document frequency {count} outside 1..{n_docs}")
+        except ValueError as exc:
+            raise ValueError(f"{vocab_path}:{dim + 1}: {exc}") from None
+        vocabulary[term] = dim
+        df[term] = count
     doc_ids: list[str] = []
     vectors: list[dict[int, float]] = []
-    for raw in (dir_path / VECTORS_FILE).read_text(encoding="utf-8").splitlines():
-        parts = raw.split()
-        doc_ids.append(parts[0])
-        vectors.append(
-            {int(d): float(w) for d, w in (p.split(":") for p in parts[1:])}
-        )
+    for lineno, raw in enumerate(vector_lines, start=1):
+        parts = raw.split(" ")
+        try:
+            vec = {int(d): float(w) for d, w in (p.split(":") for p in parts[1:])}
+            if vec and (min(vec) < 0 or max(vec) >= n_dims):
+                raise ValueError(f"dimension outside 0..{n_dims - 1}")
+            if not all(map(math.isfinite, vec.values())) or (vec and min(vec.values()) < 0.0):
+                raise ValueError("weights must be finite and non-negative")
+        except ValueError as exc:
+            raise ValueError(f"{vectors_path}:{lineno}: {exc}") from None
+        doc_ids.append(unquote(parts[0]))
+        vectors.append(vec)
     return RetrievalIndex(
         doc_ids=doc_ids,
         documents=list(doc_ids),
         vectors=vectors,
         vocabulary=vocabulary,
         df=df,
-        n_docs=len(doc_ids),
+        n_docs=n_docs,
     )

@@ -210,6 +210,17 @@ class TestEnhanceCommand:
         for line_idx, tok_idx in record["replaced"]:
             assert isinstance(line_idx, int) and isinstance(tok_idx, int)
 
+    def test_window_sets_reported_rhyme_density(self, capsys, tmp_path):
+        # "way" rhymes with "day" five words back: outside a window of 1
+        verse = tmp_path / "verse.txt"
+        verse.write_text("the day is long and the way\nslow go the flow we know\n")
+        argv = ["enhance", verse, "--lexicon", LEXICON, "--corpus", MINI]
+        _, default, _ = run_cli(capsys, *argv)
+        _, wide, _ = run_cli(capsys, *argv, "--window", "15")
+        _, narrow, _ = run_cli(capsys, *argv, "--window", "1")
+        assert default == wide
+        assert json.loads(narrow)["rd_before"] < json.loads(wide)["rd_before"]
+
     def test_deny_flag_respected(self, capsys, tmp_path):
         # denying the whole predictor vocabulary forces a no-op
         from verseforge.corpus import load_corpus
@@ -280,6 +291,41 @@ class TestRetrieveCommand:
         assert [r["id"] for r in results2] == [r["id"] for r in results]
         for a, b in zip(results, results2):
             assert a["similarity"] == pytest.approx(b["similarity"], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "file, lineno, line, problem",
+        [
+            ("vocabulary.tsv", 2, "dog\t1", "not enough values"),
+            ("vocabulary.tsv", 1, "cat\tzero\t1", "invalid literal"),
+            ("vocabulary.tsv", 2, "dog\t2\t1", "dimension 2, expected 1"),
+            ("vocabulary.tsv", 2, "dog\t0\t1", "dimension 0, expected 1"),
+            ("vocabulary.tsv", 1, "cat\t-1\t1", "dimension -1, expected 0"),
+            ("vocabulary.tsv", 2, "cat\t1\t1", "duplicate term"),
+            ("vocabulary.tsv", 1, "cat\t0\t0", "document frequency 0"),
+            ("vocabulary.tsv", 2, "dog\t1\t3", "document frequency 3"),
+            ("vectors.txt", 2, "d1 2:0.5", "dimension outside"),
+            ("vectors.txt", 1, "d0 -1:0.5", "dimension outside"),
+            ("vectors.txt", 1, "d0 0:nan", "finite"),
+            ("vectors.txt", 2, "d1 1:inf", "finite"),
+            ("vectors.txt", 2, "d1 1:-0.5", "non-negative"),
+            ("vectors.txt", 1, "d0 0=0.5", "not enough values"),
+            ("vectors.txt", 1, "d0 0:x", "could not convert"),
+        ],
+    )
+    def test_malformed_index_is_a_json_error(self, capsys, tmp_path, file, lineno, line, problem):
+        idx_dir = tmp_path / "idx"
+        idx_dir.mkdir()
+        files = {"vocabulary.tsv": ["cat\t0\t1", "dog\t1\t1"], "vectors.txt": ["d0 0:1", "d1 1:1"]}
+        files[file][lineno - 1] = line
+        for name, lines in files.items():
+            (idx_dir / name).write_text("\n".join(lines) + "\n")
+        query = tmp_path / "query.txt"
+        query.write_text("cat\n")
+        code, out, err = run_cli(capsys, "retrieve", "--query", query, "--index-dir", idx_dir)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error.startswith(f"{idx_dir / file}:{lineno}: ")
+        assert problem in error
 
     def test_split_verses_mode(self, capsys, tmp_path):
         query = tmp_path / "query.txt"

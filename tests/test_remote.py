@@ -105,6 +105,14 @@ def test_non_finite_score_is_protocol_error():
             remote_predict(stub.endpoint, QUERY)
 
 
+def test_score_beyond_float_range_is_protocol_error():
+    body = '{"candidates": [{"token": "a", "score": 1%s}]}' % ("0" * 400)
+    with StubServer([(200, body)]) as stub:
+        with pytest.raises(PredictorProtocolError, match="float range"):
+            remote_predict(stub.endpoint, QUERY)
+    assert len(stub.requests) == 1
+
+
 def test_three_500s_surface_retryable_error_after_backoff():
     with StubServer([(500, {}), (500, {}), (500, {})]) as stub:
         started = time.monotonic()

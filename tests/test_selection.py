@@ -1,12 +1,17 @@
 import math
 import random
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verseforge.corpus import Document, Verse, tokenize
 from verseforge.metrics import RhymeConfig, repetition_score, rhyme_density
 from verseforge.selection import (
     Hypothesis,
+    _query_vector,
     build_index,
     build_vector_index,
     hypothesis_from_record,
@@ -26,6 +31,21 @@ NO_STOP = frozenset()
 
 def make_doc(raw: str, doc_id: str) -> Document:
     return Document(id=doc_id, kind="news", lines=tokenize(raw), raw=raw)
+
+
+def scan_retrieve_indices(index, query, k: int = 1) -> list[tuple[int, float]]:
+    """Reference: score every document, sort all of them, keep the first k."""
+    qvec = _query_vector(index, query)
+    sims = []
+    for dvec in index.vectors:
+        small, large = (qvec, dvec) if len(qvec) <= len(dvec) else (dvec, qvec)
+        sims.append(sum(w * large.get(d, 0.0) for d, w in small.items()))
+    order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))[:k]
+    return [(i, sims[i]) for i in order]
+
+
+def exact(results) -> list[tuple[int, str, type]]:
+    return [(i, repr(sim), type(sim)) for i, sim in results]
 
 
 class TestRerank:
@@ -201,6 +221,71 @@ class TestTfIdfIndex:
         assert doc is verses[0]
 
 
+# A few terms, so that documents overlap and tie; "every" goes into each
+# document when asked (idf 0, stored 0.0 weights); "the" is the stopword.
+TERMS = ["rain", "pain", "gold", "soul", "night", "light", "sea"]
+STOP = frozenset(["the"])
+token_lists = st.lists(st.sampled_from(TERMS + ["the"]), max_size=9)
+
+
+class TestPostingsRetrieval:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        docs=st.lists(token_lists, min_size=1, max_size=8),
+        every=st.booleans(),
+        min_df=st.integers(1, 3),
+        query=st.lists(st.sampled_from(TERMS + ["the", "every", "zebra"]), max_size=12),
+        k_over=st.integers(0, 12),
+    )
+    def test_matches_linear_scan(self, docs, every, min_df, query, k_over):
+        if every:
+            docs = [tokens + ["every"] for tokens in docs]
+        index = build_index(docs, min_df=min_df, stopwords=STOP)
+        k = k_over % (len(docs) + 4) - 1  # -1 to N + 2
+        want = exact(scan_retrieve_indices(index, query, k))
+        assert exact(retrieve_indices(index, query, k)) == want
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, tmp)
+            loaded = load_index(tmp)
+        assert exact(retrieve_indices(loaded, query, k)) == exact(
+            scan_retrieve_indices(loaded, query, k)
+        )
+
+    def test_tie_hidden_by_rounding_in_query_order(self):
+        # Documents 2 and 3 tie exactly, but summed in query order document
+        # 2 comes out one unit in the last place lower; the tie still goes
+        # to document 2.
+        docs = [
+            "t1 t2 t6", "t8 t10 t9 t9 t1 t3 t4 t11", "t3 t6 t5 t5", "t7 t9 t10 t10 t9 t10 t11",
+        ]
+        index = build_index([d.split() for d in docs], stopwords=NO_STOP)
+        query = "t1 t0 t7 t4 t10 t5 t9 t6 t4".split()
+        got = retrieve_indices(index, query, 2)
+        assert exact(got) == exact(scan_retrieve_indices(index, query, 2))
+        assert [i for i, _ in got] == [1, 2]
+
+    def test_postings_built_on_first_query(self):
+        docs = [make_doc("cat dog", "d0"), make_doc("cat fish", "d1")]
+        index = build_index(docs, stopwords=NO_STOP)
+        assert "postings" not in vars(index)
+        retrieve_indices(index, make_doc("cat", "q"))
+        offsets, post_docs, weights = index.postings
+        assert list(offsets) == [0, 2, 3, 4]  # cat, dog, fish
+        assert list(post_docs) == [0, 1, 0, 1]
+        assert list(weights) == [index.vectors[0][0], index.vectors[1][0],
+                                 index.vectors[0][1], index.vectors[1][2]]
+
+    def test_word_vector_index_builds_no_postings(self):
+        vectors = {"cat": [1.0, 0.0], "dog": [-1.0, 0.5]}
+        docs = [make_doc("cat", "d0"), make_doc("dog", "d1"), make_doc("fish", "d2")]
+        index = build_vector_index(docs, vectors, stopwords=NO_STOP)
+        query = make_doc("dog", "q")
+        for k in range(-1, 5):
+            got = retrieve_indices(index, query, k)
+            assert exact(got) == exact(scan_retrieve_indices(index, query, k))
+        assert "postings" not in vars(index)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         docs = [
@@ -233,6 +318,28 @@ class TestPersistence:
         vec_lines = (tmp_path / "idx" / "vectors.txt").read_text().splitlines()
         assert vec_lines[0].startswith("d0 ")
         assert all(":" in part for part in vec_lines[0].split()[1:])
+
+    def test_ids_keep_whitespace(self, tmp_path):
+        index = build_index([make_doc("cat", "my song"), make_doc("dog", "50%\toff")], stopwords=NO_STOP)
+        save_index(index, tmp_path / "idx")
+        lines = (tmp_path / "idx" / "vectors.txt").read_text().splitlines()
+        assert [line.split(" ")[0] for line in lines] == ["my%20song", "50%25%09off"]
+        assert load_index(tmp_path / "idx").doc_ids == ["my song", "50%\toff"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.text(), min_size=2, max_size=4))
+    def test_arbitrary_ids_round_trip(self, ids):
+        docs = [["cat"] if i % 2 else ["dog", "cat"] for i in range(len(ids))]
+        index = replace(build_index(docs, stopwords=NO_STOP), doc_ids=ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, tmp)
+            loaded = load_index(tmp)
+            text = (Path(tmp) / "vectors.txt").read_text(encoding="utf-8")
+        assert loaded.doc_ids == ids
+        assert loaded.vectors == index.vectors
+        for doc_id in ids:
+            if not any(ch.isspace() or ch == "%" for ch in doc_id):
+                assert doc_id in text
 
     def test_embedding_index_not_persistable(self, tmp_path):
         vectors = {"cat": [1.0, 0.0], "dog": [0.0, 1.0]}
