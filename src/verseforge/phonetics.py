@@ -91,31 +91,43 @@ def strip_stress(phoneme: str) -> str:
     return _STRESS_RE.sub("", phoneme)
 
 
+class _StressFree(dict):
+    """Memo of :func:`strip_stress`, one string object per stripped symbol."""
+
+    def __missing__(self, phoneme: str) -> str:
+        stripped = strip_stress(phoneme)
+        # strip_stress is idempotent, so a stripped symbol is its own key.
+        stripped = self[phoneme] = self.setdefault(stripped, stripped)
+        return stripped
+
+
 def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a CMUdict-format pronunciation file.
 
     Lines look like ``FOOD  F UW1 D``. Comment lines starting with ``;;;``
     and alternate-pronunciation entries like ``FOOD(2)`` are skipped;
-    stress digits are stripped.
+    stress digits are stripped. Each line is split once, and stress is
+    stripped once per distinct phoneme symbol, so all entries share one
+    string object per stripped symbol.
     """
     path = Path(path)
     entries: dict[str, Pronunciation] = {}
+    stress_free = _StressFree().__getitem__
     with path.open(encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(";;;"):
+            parts = raw.split()
+            if not parts or parts[0].startswith(";;;"):
                 continue
-            parts = line.split()
             if len(parts) < 2:
                 raise LexiconFormatError(
-                    f"{path}:{lineno}: expected 'WORD PH1 PH2 ...', got {line!r}"
+                    f"{path}:{lineno}: expected 'WORD PH1 PH2 ...', got {parts[0]!r}"
                 )
             word = parts[0].lower()
-            if _VARIANT_RE.match(word):
+            # A word holds no whitespace, so _VARIANT_RE can only match a
+            # word that ends in ")".
+            if word in entries or (word[-1] == ")" and _VARIANT_RE.match(word)):
                 continue
-            if word in entries:
-                continue
-            entries[word] = Pronunciation(tuple(strip_stress(p) for p in parts[1:]))
+            entries[word] = Pronunciation(tuple(map(stress_free, parts[1:])))
     return Lexicon(entries=entries, source=str(path))
 
 

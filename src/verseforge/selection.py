@@ -268,13 +268,31 @@ def _embed(
 
 
 def load_word_vectors(path: str | Path) -> dict[str, list[float]]:
-    """Plain-text vectors, one ``word v1 v2 ... vd`` line per word."""
+    """Plain-text vectors, one ``word v1 v2 ... vd`` line per word.
+
+    Blank lines are skipped. Every other row holds at least one value, as
+    many as the first row, and every value is a finite number; a row that
+    breaks this raises ValueError naming the file and line.
+    """
     vectors: dict[str, list[float]] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    dim = None
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         parts = raw.split()
-        if len(parts) < 2:
+        if not parts:
             continue
-        vectors[parts[0].lower()] = [float(x) for x in parts[1:]]
+        try:
+            row = [float(x) for x in parts[1:]]
+            if not row:
+                raise ValueError(f"expected 'word v1 v2 ... vd', got {parts[0]!r}")
+            if dim is None:
+                dim = len(row)
+            if len(row) != dim:
+                raise ValueError(f"{len(row)} values, expected {dim} as in the first row")
+            if not all(map(math.isfinite, row)):
+                raise ValueError("values must be finite")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        vectors[parts[0].lower()] = row
     return vectors
 
 
@@ -361,16 +379,20 @@ def retrieve(index: RetrievalIndex, query, k: int = 1) -> list[tuple[object, flo
     return [(index.documents[i], sim) for i, sim in retrieve_indices(index, query, k)]
 
 
-# Whitespace separates the fields of a vectors.txt line, so ids escape it,
-# and "%" so that decoding is exact.
+# Whitespace separates the fields and lines of both index files, so ids
+# and terms escape it, and "%" so that decoding is exact.
 _ID_ESCAPES = re.compile(r"[\s%]")
+
+
+def _escape(text: str) -> str:
+    return _ID_ESCAPES.sub(lambda m: quote(m[0], safe=""), text)
 
 
 def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
     """Persist a TF-IDF index: vocabulary.tsv + vectors.txt.
 
-    Whitespace and "%" in document ids are percent-encoded; other ids are
-    written as they are.
+    Whitespace and "%" in document ids and vocabulary terms are
+    percent-encoded; other ids and terms are written as they are.
     """
     if index.word_vectors is not None:
         raise ValueError("only TF-IDF indexes support persistence")
@@ -378,12 +400,11 @@ def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
     dir_path.mkdir(parents=True, exist_ok=True)
     with (dir_path / VOCAB_FILE).open("w", encoding="utf-8") as fh:
         for term, dim in sorted(index.vocabulary.items(), key=lambda kv: kv[1]):
-            fh.write(f"{term}\t{dim}\t{index.df[term]}\n")
+            fh.write(f"{_escape(term)}\t{dim}\t{index.df[term]}\n")
     with (dir_path / VECTORS_FILE).open("w", encoding="utf-8") as fh:
         for doc_id, vec in zip(index.doc_ids, index.vectors):
-            safe_id = _ID_ESCAPES.sub(lambda m: quote(m[0], safe=""), doc_id)
             pairs = " ".join(f"{d}:{w:.17g}" for d, w in sorted(vec.items()))
-            fh.write(f"{safe_id} {pairs}".rstrip() + "\n")
+            fh.write(f"{_escape(doc_id)} {pairs}".rstrip() + "\n")
 
 
 def load_index(dir_path: str | Path) -> RetrievalIndex:
@@ -391,8 +412,9 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
 
     Line n of vocabulary.tsv holds dimension n-1 of a new term, with a
     document frequency in ``1..N``; vectors.txt dimensions must be below
-    ``V`` and weights finite and non-negative. A malformed file raises
-    ValueError naming the file and line.
+    ``V`` and weights finite and non-negative. Percent-encoded ids and
+    terms are decoded. A malformed file raises ValueError naming the file
+    and line.
     """
     dir_path = Path(dir_path)
     vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
@@ -404,7 +426,7 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
     for dim, raw in enumerate(vocab_lines):
         try:
             term, stored_dim, count = raw.split("\t")
-            stored_dim, count = int(stored_dim), int(count)
+            term, stored_dim, count = unquote(term), int(stored_dim), int(count)
             if stored_dim != dim:
                 raise ValueError(f"dimension {stored_dim}, expected {dim}")
             if term in vocabulary:

@@ -271,6 +271,23 @@ class TestRerankCommand:
         assert error.startswith(f"{hyps}:2: ")
         assert problem in error
 
+    def test_malformed_lexicon_is_a_json_error(self, capsys, tmp_path):
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text('{"rank": 0, "text": "go slow flow"}\n')
+        lexicon = tmp_path / "lex.dict"
+        lexicon.write_text(";;; header\nGO  G OW1\nJUSTAWORD\n")
+        code, out, err = run_cli(capsys, "rerank", "--hypotheses", hyps, "--lexicon", lexicon)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].startswith(f"{lexicon}:3: ")
+
+    def test_missing_lexicon_is_a_json_error(self, capsys, tmp_path):
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text('{"rank": 0, "text": "go slow flow"}\n')
+        missing = tmp_path / "missing.dict"
+        code, out, err = run_cli(capsys, "rerank", "--hypotheses", hyps, "--lexicon", missing)
+        assert code == 1 and out == ""
+        assert str(missing) in json.loads(err)["error"]
+
 
 class TestRetrieveCommand:
     def test_ad_hoc_index_and_persistence(self, capsys, tmp_path):
@@ -325,6 +342,31 @@ class TestRetrieveCommand:
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
         assert error.startswith(f"{idx_dir / file}:{lineno}: ")
+        assert problem in error
+
+    @pytest.mark.parametrize(
+        "rows, lineno, problem",
+        [
+            ("cat 1.0 0.0\ndog 1.0\n", 2, "1 values, expected 2"),
+            ("cat 1.0\n\ndog 1.0 0.0\n", 3, "2 values, expected 1"),
+            ("cat 1.0 0.0\ndog 1.0 x\n", 2, "could not convert"),
+            ("cat 1.0 nan\n", 1, "finite"),
+            ("cat 1.0\ndog\n", 2, "expected 'word v1"),
+        ],
+    )
+    def test_malformed_word_vectors_are_a_json_error(self, capsys, tmp_path, rows, lineno, problem):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(rows)
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "doc.txt").write_text("cat dog\n")
+        query = tmp_path / "query.txt"
+        query.write_text("cat dog\n")
+        code, out, err = run_cli(
+            capsys, "retrieve", "--query", query, "--corpus", tmp_path / "corpus", "--vectors", vectors
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error.startswith(f"{vectors}:{lineno}: ")
         assert problem in error
 
     def test_split_verses_mode(self, capsys, tmp_path):

@@ -1,10 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from verseforge.phonetics import (
+    _VARIANT_RE,
     ARPABET_VOWELS,
     LexiconFormatError,
     Lexicon,
+    Pronunciation,
     fallback_pronunciation,
     is_vowel,
     load_lexicon,
@@ -13,9 +18,90 @@ from verseforge.phonetics import (
     vowel_sequence,
 )
 
-from conftest import MIXED_TOKENS, TOY_WORDS
+from conftest import MIXED_TOKENS, PKG_DATA_DIR, TOY_WORDS
 
 EMPTY = Lexicon()
+
+
+def reference_load_lexicon(path: str | Path) -> Lexicon:
+    """Reference: the per-line parser that strips every phoneme separately."""
+    path = Path(path)
+    entries: dict[str, Pronunciation] = {}
+    with path.open(encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith(";;;"):
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise LexiconFormatError(
+                    f"{path}:{lineno}: expected 'WORD PH1 PH2 ...', got {line!r}"
+                )
+            word = parts[0].lower()
+            if _VARIANT_RE.match(word):
+                continue
+            if word in entries:
+                continue
+            entries[word] = Pronunciation(tuple(strip_stress(p) for p in parts[1:]))
+    return Lexicon(entries=entries, source=str(path))
+
+
+def parse_both(data: bytes):
+    """Each parser's entries, or its LexiconFormatError message."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lex.dict"
+        path.write_bytes(data)
+        for parse in (load_lexicon, reference_load_lexicon):
+            try:
+                outcomes.append(parse(path).entries)
+            except LexiconFormatError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+# Separators include whitespace beyond ASCII, which split() and strip()
+# both honour; "\x85" and "\u2028" are not line ends in text mode.
+_SPACE = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\xa0\u2028\u3000"), min_size=1, max_size=3)
+# Lone surrogates stand for bytes that are not UTF-8 ("\udcff" is 0xff):
+# lines are encoded with "surrogateescape".
+_WORD = st.sampled_from(
+    ["go", "GO", "Go", "read", "READ(2)", "read(10)", "(2)", "x)", "a(b)", ")",
+     "go(\u0662)", "go(2)x", ";;go", "caf\xe9", "stra\xdfe", "\u0130", "go\udcff", "\udcc3(2)"]
+)
+_PHONEME = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "UW", "AH", "D", "er", "V:o", "\udce2\udc82"]),
+        st.text(st.sampled_from("0123\u0661\u0967"), max_size=3),
+    ),
+).filter(bool)
+_ENTRY = st.builds(
+    lambda word, phonemes, seps: word + "".join(s + p for s, p in zip(seps, phonemes)),
+    _WORD,
+    st.lists(_PHONEME, min_size=1, max_size=4),
+    st.lists(_SPACE, min_size=4, max_size=4),
+)
+_LINE = st.one_of(
+    _ENTRY,
+    _ENTRY.map(str.lower),
+    st.builds(lambda pad, entry: pad + entry + pad, _SPACE, _ENTRY),
+    st.builds(lambda s: ";;;" + s, st.text(st.characters(blacklist_characters="\r\n"), max_size=8)),
+    st.just(""),
+    _SPACE,
+)
+_LINE_BYTES = _LINE.map(lambda line: line.encode("utf-8", "surrogateescape"))
+# A one-token or free-text line usually ends the parse with an error, so
+# at most one is inserted, at any line number.
+_ODD_LINE = st.one_of(_WORD, st.builds(lambda pad, word: pad + word, _SPACE, _WORD), st.text(max_size=10))
+
+
+@st.composite
+def lexicon_bytes(draw) -> bytes:
+    lines = draw(st.lists(_LINE_BYTES, max_size=12))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINE).encode("utf-8", "surrogateescape"))
+    return b"".join(line + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for line in lines)
 
 
 class TestLoadLexicon:
@@ -58,6 +144,38 @@ class TestLoadLexicon:
         path = tmp_path / "dup.dict"
         path.write_text("GO  G OW1\nGO  G UW1\n")
         assert load_lexicon(path).get("go").phonemes == ("G", "OW")
+
+    def test_equal_phonemes_are_one_object(self, tmp_path):
+        path = tmp_path / "mini.dict"
+        path.write_text("FOOD  F UW1 D\nYOU  Y UW0\nDUE  D UW\nFUDGE  F AH1 JH\n")
+        lex = load_lexicon(path)
+        food, you, due, fudge = (lex.get(w).phonemes for w in ("food", "you", "due", "fudge"))
+        assert food[1] is you[1] is due[1]
+        assert food[2] is due[0]
+        assert food[0] is fudge[0]
+
+    def test_matches_reference_on_bundled_sample(self):
+        path = PKG_DATA_DIR / "cmudict_sample.txt"
+        assert load_lexicon(path) == reference_load_lexicon(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lexicon_bytes())
+    def test_matches_reference_parser(self, data):
+        new, reference = parse_both(data)
+        assert new == reference
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"GO  G OW1\r\nJUSTAWORD \r\n",
+            b"  \t\r\n;;; c\r\nX)  \xff\n\xc3\n",
+            b"(2)  AH1\nREAD(2)  R EH1 D\nREAD  R IY1 D\ngo(\xd9\xa2)  G\n",
+            b"A  B12 C\xd9\xa1 D\xe0\xa5\xa7 1\n",
+        ],
+    )
+    def test_matches_reference_on_pinned_files(self, data):
+        new, reference = parse_both(data)
+        assert new == reference
 
 
 def test_strip_stress_idempotent():
