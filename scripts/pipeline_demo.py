@@ -18,6 +18,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from verseforge.cli import PipelineRuntime, load_config, run_pipeline, serve_report
 from verseforge.corpus import Document, tokenize
+from verseforge.enhance import MODES
+from verseforge.stripping import NOISE_TYPES
 
 DEFAULT_TEXT = (
     "temperatures dipped fast while the storm crossed the town\n"
@@ -31,10 +33,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--text", default=DEFAULT_TEXT)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--noise", default="shuffle",
-                        choices=["none", "shuffle", "drop", "synonym"])
-    parser.add_argument("--mode", default="first_improvement",
-                        choices=["first_improvement", "best_of_k"])
+    parser.add_argument("--noise", default="shuffle", choices=NOISE_TYPES)
+    parser.add_argument("--mode", default="first_improvement", choices=MODES)
     args = parser.parse_args()
 
     cfg = load_config(None, {

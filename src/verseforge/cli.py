@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from statistics import mean, pstdev
 
 from . import corpus as corpus_mod
-from .corpus import Document, Verse, join_lines, load_corpus, load_document
+from .corpus import KINDS, Document, Verse, join_lines, load_corpus, load_document
 from .enhance import (
     EnhanceConfig,
     MaskedPredictor,
@@ -27,13 +27,7 @@ from .enhance import (
     load_deny_list,
     replaced_positions,
 )
-from .metrics import (
-    RhymeConfig,
-    corpus_bleu,
-    repetition_score,
-    rhyme_density,
-    unigram_overlap,
-)
+from .metrics import RhymeConfig, corpus_bleu, repetition_score, rhyme_density, unigram_overlap
 from .phonetics import Lexicon, load_lexicon
 from .selection import (
     build_index,
@@ -46,16 +40,20 @@ from .selection import (
     save_index,
 )
 from .stripping import (
+    NOISE_TYPES,
     NoiseConfig,
     SynonymLexicon,
     apply_noise,
     default_stopwords,
+    emit_training_pair,
     extract_content_words,
     load_stopwords,
     strip_corpus,
 )
 
 CONFIG_ENV_VAR = "VERSEFORGE_CONFIG"
+
+PREDICTORS = ("corpus", "remote")
 
 _MODE_ALIASES = {"first": "first_improvement", "best": "best_of_k"}
 
@@ -87,41 +85,45 @@ class PipelineConfig:
     endpoint: str | None = None
 
 
-_PATH_KEYS = ("lexicon_path", "stopwords_path", "synonyms_path", "deny_path", "corpus_path")
-
-_CONFIG_SCHEMA: dict[str, type | tuple] = {
-    "lexicon_path": str,
-    "stopwords_path": str,
-    "synonyms_path": str,
-    "deny_path": str,
-    "corpus_path": str,
-    "noise": str,
-    "seed": int,
-    "drop_rate": (int, float),
-    "synonym_rate": (int, float),
-    "rhyme": dict,
-    "enhance": dict,
-    "predictor": str,
-    "endpoint": str,
-}
-_RHYME_SCHEMA: dict[str, type | tuple] = {"lookback_window": int, "exclude_identical": bool}
-_ENHANCE_SCHEMA: dict[str, type | tuple] = {"k": int, "mode": str}
+def _config_defaults(cls: type) -> dict:
+    """The config keys of ``cls``: its fields whose default has a JSON type."""
+    keys = {}
+    for f in fields(cls):
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if default is None or is_dataclass(default) or isinstance(default, (int, float, str)):
+            keys[f.name] = default
+    return keys
 
 
-def _check_keys(data: dict, schema: dict, where: str) -> None:
+def _check_keys(data: dict, cls: type, where: str = "") -> None:
+    """Check config keys against the types of ``cls``'s field defaults.
+
+    A ``None`` default takes a string or null, a float also takes an int, a
+    bool is never taken as an int, and a nested dataclass takes an object,
+    checked the same way. A field with any other default, such as
+    ``EnhanceConfig.deny_list``, is not a config key.
+    """
+    defaults = _config_defaults(cls)
     for key, value in data.items():
-        if key not in schema:
+        if key not in defaults:
             raise ConfigError(
                 f"unknown config key {where}{key!r}; valid keys: "
-                + ", ".join(sorted(schema))
+                + ", ".join(sorted(defaults))
             )
-        expected = schema[key]
-        allowed = expected if isinstance(expected, tuple) else (expected,)
-        # bool is an int subclass; only accept it where bool is expected.
-        if isinstance(value, bool) and bool not in allowed:
+        default = defaults[key]
+        if default is None:
+            types: tuple = (str, type(None))
+        elif is_dataclass(default):
+            types = (dict,)
+        elif isinstance(default, float):
+            types = (int, float)
+        else:
+            types = (type(default),)
+        if type(value) not in types:
             raise ConfigError(f"config key {where}{key!r} has wrong type: {value!r}")
-        if not isinstance(value, expected):
-            raise ConfigError(f"config key {where}{key!r} has wrong type: {value!r}")
+    for key, value in data.items():
+        if isinstance(value, dict):
+            _check_keys(value, type(defaults[key]), f"{where}{key}.")
 
 
 def load_config(
@@ -140,9 +142,7 @@ def load_config(
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-    _check_keys(data, _CONFIG_SCHEMA, "")
-    _check_keys(data.get("rhyme", {}), _RHYME_SCHEMA, "rhyme.")
-    _check_keys(data.get("enhance", {}), _ENHANCE_SCHEMA, "enhance.")
+    _check_keys(data, PipelineConfig)
 
     merged = dict(data)
     for key, value in (overrides or {}).items():
@@ -173,16 +173,63 @@ def load_config(
 
 
 def validate_config(cfg: PipelineConfig) -> None:
-    if cfg.noise not in ("none", "shuffle", "drop", "synonym"):
+    if cfg.noise not in NOISE_TYPES:
         raise ConfigError(f"unknown noise type {cfg.noise!r}")
-    if cfg.predictor not in ("corpus", "remote"):
+    if cfg.predictor not in PREDICTORS:
         raise ConfigError(f"unknown predictor {cfg.predictor!r}")
     if cfg.predictor == "remote" and not cfg.endpoint:
         raise ConfigError("predictor 'remote' requires an endpoint")
-    for key in _PATH_KEYS:
-        value = getattr(cfg, key)
-        if value is not None and not Path(value).exists():
-            raise ConfigError(f"{key} does not exist: {value}")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name.endswith("_path") and value is not None and not Path(value).exists():
+            raise ConfigError(f"{f.name} does not exist: {value}")
+
+
+def _flag_config(args, path: str | None = None) -> PipelineConfig:
+    """Load ``path`` with each parsed flag overriding the config key it is stored under."""
+    flags = vars(args)
+    overrides = {
+        key: {f.name: flags.get(f.name) for f in fields(default)}
+        if is_dataclass(default) else flags.get(key)
+        for key, default in _config_defaults(PipelineConfig).items()
+    }
+    return load_config(path, overrides)
+
+
+# --- resource loaders, shared by PipelineRuntime and the subcommands ---
+
+
+def _lexicon(cfg: PipelineConfig) -> Lexicon:
+    return load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else Lexicon()
+
+
+def _stopwords(cfg: PipelineConfig) -> frozenset[str]:
+    return load_stopwords(cfg.stopwords_path) if cfg.stopwords_path else default_stopwords()
+
+
+def _synonyms(cfg: PipelineConfig) -> SynonymLexicon | None:
+    return SynonymLexicon.load(cfg.synonyms_path) if cfg.synonyms_path else None
+
+
+def _deny_list(cfg: PipelineConfig) -> frozenset[str]:
+    return load_deny_list(cfg.deny_path) if cfg.deny_path else frozenset()
+
+
+def _predictor(cfg: PipelineConfig, lexicon: Lexicon) -> MaskedPredictor:
+    if cfg.predictor == "remote":
+        return RemotePredictor(cfg.endpoint)
+    if not cfg.corpus_path:
+        raise ConfigError("predictor 'corpus' requires corpus_path")
+    return build_corpus_predictor(_verses(cfg.corpus_path), lexicon)
+
+
+def _verses(path: str, min_lines: int = 4) -> list[Verse]:
+    """Every verse of at least ``min_lines`` lines in a lyrics corpus."""
+    return [
+        verse
+        for doc in load_corpus(path, "lyrics")
+        for verse in corpus_mod.split_verses(doc, min_lines)
+    ]
 
 
 @dataclass
@@ -198,35 +245,12 @@ class PipelineRuntime:
 
     @classmethod
     def from_config(cls, cfg: PipelineConfig) -> "PipelineRuntime":
-        lexicon = load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else Lexicon()
-        stopwords = (
-            load_stopwords(cfg.stopwords_path)
-            if cfg.stopwords_path
-            else default_stopwords()
-        )
-        synonyms = SynonymLexicon.load(cfg.synonyms_path) if cfg.synonyms_path else None
-        deny = load_deny_list(cfg.deny_path) if cfg.deny_path else frozenset()
-        enhance_cfg = EnhanceConfig(
-            k=cfg.enhance.k, mode=cfg.enhance.mode, deny_list=deny
-        )
-        predictor: MaskedPredictor
-        if cfg.predictor == "remote":
-            predictor = RemotePredictor(cfg.endpoint)
-        else:
-            if not cfg.corpus_path:
-                raise ConfigError("predictor 'corpus' requires corpus_path")
-            verses = _corpus_verses(cfg.corpus_path)
-            predictor = build_corpus_predictor(verses, lexicon)
+        lexicon = _lexicon(cfg)
+        stopwords = _stopwords(cfg)
+        synonyms = _synonyms(cfg)
+        enhance_cfg = replace(cfg.enhance, deny_list=_deny_list(cfg))
+        predictor = _predictor(cfg, lexicon)
         return cls(cfg, lexicon, stopwords, synonyms, predictor, enhance_cfg)
-
-
-def _corpus_verses(path: str, min_lines: int = 4) -> list[Verse]:
-    verses: list[Verse] = []
-    for doc in load_corpus(path, "lyrics"):
-        verses.extend(corpus_mod.split_verses(doc, min_lines))
-    if not verses:
-        raise ConfigError(f"no verses of >= {min_lines} lines found in {path}")
-    return verses
 
 
 def run_pipeline(
@@ -254,9 +278,11 @@ def run_pipeline(
     except ValueError as exc:
         raise PipelineError("noise", str(exc)) from exc
 
-    if hypotheses:
-        best = rerank(hypotheses, runtime.lexicon, cfg.rhyme)
-        selected = best.verse
+    if hypotheses is not None:
+        try:
+            selected = rerank(hypotheses, runtime.lexicon, cfg.rhyme).verse
+        except ValueError as exc:
+            raise PipelineError("rerank", str(exc)) from exc
     else:
         selected = Verse([list(line) for line in cw.lines if line], doc.id)
         if not selected.lines:
@@ -328,164 +354,109 @@ def _emit(record: dict) -> None:
 
 
 def _cmd_corpus_stats(args) -> None:
-    docs = []
-    for path in args.paths:
-        docs.extend(load_corpus(path, args.kind))
-    stats = corpus_mod.corpus_stats(docs)
-    _emit(stats.as_dict())
+    docs = [doc for path in args.paths for doc in load_corpus(path, args.kind)]
+    _emit(corpus_mod.corpus_stats(docs).as_dict())
 
 
 def _cmd_corpus_split(args) -> None:
-    for doc in load_corpus(args.path, "lyrics"):
-        for verse in corpus_mod.split_verses(doc, args.min_lines):
-            _emit({"doc": verse.source_doc, "text": join_lines(verse.lines)})
-
-
-def _load_synonyms(args) -> SynonymLexicon | None:
-    return SynonymLexicon.load(args.synonyms) if args.synonyms else None
-
-
-def _load_stop(args) -> frozenset[str]:
-    return load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
+    for verse in _verses(args.path, args.min_lines):
+        _emit({"doc": verse.source_doc, "text": join_lines(verse.lines)})
 
 
 def _cmd_strip(args) -> None:
+    cfg = _flag_config(args)
     docs = load_corpus(args.path, args.kind)
     results = strip_corpus(
         docs,
-        _load_stop(args),
-        noise=args.noise,
-        cfg=NoiseConfig(args.drop_rate, args.synonym_rate, args.seed),
-        synonyms=_load_synonyms(args),
+        _stopwords(cfg),
+        noise=cfg.noise,
+        cfg=NoiseConfig(cfg.drop_rate, cfg.synonym_rate, cfg.seed),
+        synonyms=_synonyms(cfg),
         workers=args.jobs,
     )
     for cw in results:
-        _emit(
-            {
-                "doc": cw.provenance,
-                "noise": cw.noise,
-                "seed": cw.seed,
-                "text": join_lines(cw.as_line_lists()),
-            }
-        )
+        text = join_lines(cw.as_line_lists())
+        _emit({"doc": cw.provenance, "noise": cw.noise, "seed": cw.seed, "text": text})
 
 
 def _cmd_pair(args) -> None:
-    stopwords = _load_stop(args)
-    synonyms = _load_synonyms(args)
-    noise_cfg = NoiseConfig(args.drop_rate, args.synonym_rate, args.seed)
+    cfg = _flag_config(args)
+    verses = [
+        (f"{doc.id}#v{j}", verse)
+        for doc in load_corpus(args.path, "lyrics")
+        for j, verse in enumerate(corpus_mod.split_verses(doc, args.min_lines))
+    ]
+    sources = strip_corpus(
+        [Document(id=vid, kind="lyrics", lines=verse.lines, raw="") for vid, verse in verses],
+        _stopwords(cfg),
+        noise=cfg.noise,
+        cfg=NoiseConfig(cfg.drop_rate, cfg.synonym_rate, cfg.seed),
+        synonyms=_synonyms(cfg),
+    )
+    # Everything that can fail has run, so a bad input leaves --out untouched.
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for doc in load_corpus(args.path, "lyrics"):
-            for j, verse in enumerate(corpus_mod.split_verses(doc, args.min_lines)):
-                pseudo = Document(
-                    id=f"{doc.id}#v{j}", kind="lyrics", lines=verse.lines, raw=""
-                )
-                cw = extract_content_words(pseudo, stopwords)
-                cw = apply_noise(cw, args.noise, noise_cfg, synonyms)
-                record = {
-                    "source": join_lines(cw.as_line_lists()),
-                    "target": join_lines(verse.lines),
-                }
-                out.write(json.dumps(record) + "\n")
+        for cw, (_, verse) in zip(sources, verses):
+            emit_training_pair(cw, verse, out)
     finally:
         if out is not sys.stdout:
             out.close()
 
 
-def _analysis_verses(path: str, min_lines: int) -> list[Verse]:
-    verses = []
-    for doc in load_corpus(path, "lyrics"):
-        verses.extend(corpus_mod.split_verses(doc, min_lines))
-    return verses
-
-
 def _cmd_analyze(args) -> None:
-    lex = load_lexicon(args.lexicon) if args.lexicon else Lexicon()
-    cfg = RhymeConfig(lookback_window=args.window)
-    verses = _analysis_verses(args.path, args.min_lines)
+    cfg = _flag_config(args)
+    lex = _lexicon(cfg)
+    verses = _verses(args.path, args.min_lines)
     input_tokens = (
         load_document(args.input, "news").all_tokens() if args.input else None
     )
-    references = (
-        _analysis_verses(args.reference, args.min_lines) if args.reference else None
-    )
+    references = _verses(args.reference, args.min_lines) if args.reference else None
     if references is not None and len(references) != len(verses):
         raise ValueError(
             f"reference count {len(references)} does not match verse count {len(verses)}"
         )
     for i, verse in enumerate(verses):
-        record = {
-            "rd": rhyme_density(verse, lex, cfg),
+        tokens = verse.all_tokens()
+        _emit({
+            "rd": rhyme_density(verse, lex, cfg.rhyme),
             "rep": repetition_score(verse),
-            "overlap": (
-                unigram_overlap(input_tokens, verse.all_tokens())
-                if input_tokens is not None
-                else None
-            ),
-            "bleu": (
-                corpus_bleu([verse.all_tokens()], [references[i].all_tokens()])
-                if references is not None
-                else None
-            ),
-        }
-        _emit(record)
-
-
-def _make_predictor(args, lex: Lexicon) -> MaskedPredictor:
-    if args.predictor == "remote":
-        if not args.endpoint:
-            raise ConfigError("predictor 'remote' requires --endpoint")
-        return RemotePredictor(args.endpoint)
-    if not args.corpus:
-        raise ConfigError("predictor 'corpus' requires --corpus")
-    return build_corpus_predictor(_corpus_verses(args.corpus), lex)
+            "overlap": unigram_overlap(input_tokens, tokens) if input_tokens is not None else None,
+            "bleu": corpus_bleu([tokens], [references[i].all_tokens()]) if references else None,
+        })
 
 
 def _cmd_enhance(args) -> None:
-    lex = load_lexicon(args.lexicon) if args.lexicon else Lexicon()
-    deny = load_deny_list(args.deny) if args.deny else frozenset()
-    cfg = EnhanceConfig(
-        k=args.k, mode=_MODE_ALIASES.get(args.mode, args.mode), deny_list=deny
-    )
-    rhyme = RhymeConfig(lookback_window=args.window)
-    predictor = _make_predictor(args, lex)
-    for verse in _analysis_verses(args.path, args.min_lines):
-        enhanced = enhance_verse(verse, predictor, cfg, lex)
-        _emit(
-            {
-                "doc": verse.source_doc,
-                "text": join_lines(enhanced.lines),
-                "replaced": [list(p) for p in replaced_positions(verse, enhanced)],
-                "rd_before": rhyme_density(verse, lex, rhyme),
-                "rd_after": rhyme_density(enhanced, lex, rhyme),
-            }
-        )
+    cfg = _flag_config(args)
+    runtime = PipelineRuntime.from_config(cfg)
+    lex = runtime.lexicon
+    for verse in _verses(args.path, args.min_lines):
+        enhanced = enhance_verse(verse, runtime.predictor, runtime.enhance_cfg, lex)
+        _emit({
+            "doc": verse.source_doc,
+            "text": join_lines(enhanced.lines),
+            "replaced": [list(p) for p in replaced_positions(verse, enhanced)],
+            "rd_before": rhyme_density(verse, lex, cfg.rhyme),
+            "rd_after": rhyme_density(enhanced, lex, cfg.rhyme),
+        })
 
 
 def _cmd_rerank(args) -> None:
-    lex = load_lexicon(args.lexicon) if args.lexicon else Lexicon()
-    hyps = load_hypotheses(args.hypotheses)
-    best = rerank(hyps, lex, RhymeConfig(lookback_window=args.window))
-    _emit(
-        {
-            "rank": best.generator_rank,
-            "text": join_lines(best.verse.lines),
-            "rd": best.scored.rd,
-            "rep": best.scored.rep,
-            "score": best.scored.score,
-        }
-    )
+    cfg = _flag_config(args)
+    lex = _lexicon(cfg)
+    best = rerank(load_hypotheses(args.hypotheses), lex, cfg.rhyme)
+    scored = best.scored
+    _emit({
+        "rank": best.generator_rank,
+        "text": join_lines(best.verse.lines),
+        "rd": scored.rd, "rep": scored.rep, "score": scored.score,
+    })
 
 
 def _cmd_retrieve(args) -> None:
     if args.index_dir:
         index = load_index(args.index_dir)
     elif args.corpus:
-        if args.split_verses:
-            docs: list = _corpus_verses(args.corpus)
-        else:
-            docs = load_corpus(args.corpus, args.kind)
+        docs = _verses(args.corpus) if args.split_verses else load_corpus(args.corpus, args.kind)
         if args.vectors:
             index = build_vector_index(docs, load_word_vectors(args.vectors))
         else:
@@ -500,26 +471,7 @@ def _cmd_retrieve(args) -> None:
 
 
 def _cmd_pipeline(args) -> None:
-    overrides = {
-        "lexicon_path": args.lexicon,
-        "stopwords_path": args.stopwords,
-        "synonyms_path": args.synonyms,
-        "deny_path": args.deny,
-        "corpus_path": args.corpus,
-        "noise": args.noise,
-        "seed": args.seed,
-        "drop_rate": args.drop_rate,
-        "synonym_rate": args.synonym_rate,
-        "predictor": args.predictor,
-        "endpoint": args.endpoint,
-        "rhyme": {"lookback_window": args.window},
-        "enhance": {
-            "k": args.k,
-            "mode": _MODE_ALIASES.get(args.mode, args.mode) if args.mode else None,
-        },
-    }
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR) or None
-    cfg = load_config(config_path, overrides)
+    cfg = _flag_config(args, args.config or os.environ.get(CONFIG_ENV_VAR) or None)
     runtime = PipelineRuntime.from_config(cfg)
 
     docs = load_corpus(args.path, args.kind)
@@ -540,14 +492,30 @@ def _cmd_pipeline(args) -> None:
 
 # --- parser wiring ---
 
+# Flags that set a config key, stored under that key's name. A subcommand
+# takes the ones it uses; each defaults to None, so the config decides.
+_CONFIG_FLAGS: dict[str, dict] = {
+    "--lexicon": {"dest": "lexicon_path", "help": "CMUdict-format pronunciation lexicon"},
+    "--stopwords": {"dest": "stopwords_path", "help": "stopword file, one word per line"},
+    "--synonyms": {"dest": "synonyms_path", "help": "tab-separated synonym lexicon"},
+    "--deny": {"dest": "deny_path", "help": "deny list, one word per line"},
+    "--corpus": {"dest": "corpus_path", "help": "lyrics corpus for the corpus predictor"},
+    "--noise": {"choices": NOISE_TYPES},
+    "--seed": {"type": int},
+    "--drop-rate": {"type": float},
+    "--synonym-rate": {"type": float},
+    "--window": {"dest": "lookback_window", "type": int, "help": "rhyme lookback window"},
+    "--k": {"type": int, "help": "predictor candidates per masked word"},
+    "--mode": {"choices": _MODE_ALIASES},
+    "--predictor": {"choices": PREDICTORS},
+    "--endpoint": {"help": "remote predictor base URL"},
+}
+_NOISE_FLAGS = ("--noise", "--seed", "--stopwords", "--synonyms", "--drop-rate", "--synonym-rate")
 
-def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--noise", default="none", choices=["none", "shuffle", "drop", "synonym"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stopwords", help="stopword file, one word per line")
-    p.add_argument("--synonyms", help="tab-separated synonym lexicon")
-    p.add_argument("--drop-rate", type=float, default=0.20)
-    p.add_argument("--synonym-rate", type=float, default=0.20)
+
+def _add_config_flags(p: argparse.ArgumentParser, flags) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_CONFIG_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
     p_stats = corpus_sub.add_parser("stats", help="per-corpus size statistics")
     p_stats.add_argument("paths", nargs="+")
-    p_stats.add_argument("--kind", default="lyrics", choices=["lyrics", "news", "movies"])
+    p_stats.add_argument("--kind", default="lyrics", choices=KINDS)
     p_stats.set_defaults(func=_cmd_corpus_stats)
     p_split = corpus_sub.add_parser("split", help="split lyrics into verses")
     p_split.add_argument("path")
@@ -570,22 +538,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_strip = sub.add_parser("strip", help="extract and noise content words")
     p_strip.add_argument("path")
-    p_strip.add_argument("--kind", default="lyrics", choices=["lyrics", "news", "movies"])
-    _add_noise_flags(p_strip)
+    p_strip.add_argument("--kind", default="lyrics", choices=KINDS)
+    _add_config_flags(p_strip, _NOISE_FLAGS)
     p_strip.add_argument("--jobs", type=int, default=1)
-    p_strip.set_defaults(func=_cmd_strip)
+    # strip and pair add no noise unless asked; the config default is shuffle
+    p_strip.set_defaults(func=_cmd_strip, noise="none")
 
     p_pair = sub.add_parser("pair", help="emit (content words, verse) training pairs")
     p_pair.add_argument("path")
     p_pair.add_argument("--min-lines", type=int, default=4)
-    _add_noise_flags(p_pair)
+    _add_config_flags(p_pair, _NOISE_FLAGS)
     p_pair.add_argument("--out", help="output file (default stdout)")
-    p_pair.set_defaults(func=_cmd_pair)
+    p_pair.set_defaults(func=_cmd_pair, noise="none")
 
     p_analyze = sub.add_parser("analyze", help="rhyme/repetition/overlap/BLEU per verse")
     p_analyze.add_argument("path")
-    p_analyze.add_argument("--lexicon", help="CMUdict-format pronunciation lexicon")
-    p_analyze.add_argument("--window", type=int, default=15)
+    _add_config_flags(p_analyze, ("--lexicon", "--window"))
     p_analyze.add_argument("--min-lines", type=int, default=1)
     p_analyze.add_argument("--input", help="source text for the overlap metric")
     p_analyze.add_argument("--reference", help="reference verses for BLEU")
@@ -593,28 +561,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enhance = sub.add_parser("enhance", help="rhyme-enhance verses")
     p_enhance.add_argument("path")
-    p_enhance.add_argument("--lexicon")
-    p_enhance.add_argument("--predictor", default="corpus", choices=["corpus", "remote"])
-    p_enhance.add_argument("--corpus", help="lyrics corpus for the corpus predictor")
-    p_enhance.add_argument("--endpoint", help="remote predictor base URL")
-    p_enhance.add_argument("--k", type=int, default=200)
-    p_enhance.add_argument("--mode", default="first", choices=["first", "best"])
-    p_enhance.add_argument("--deny", help="deny list, one word per line")
+    _add_config_flags(p_enhance, ("--lexicon", "--predictor", "--corpus", "--endpoint",
+                                  "--k", "--mode", "--deny", "--window"))
     p_enhance.add_argument("--min-lines", type=int, default=1)
-    p_enhance.add_argument("--window", type=int, default=15)
     p_enhance.set_defaults(func=_cmd_enhance)
 
     p_rerank = sub.add_parser("rerank", help="pick the best hypothesis by rd - rep")
     p_rerank.add_argument("--hypotheses", required=True)
-    p_rerank.add_argument("--lexicon")
-    p_rerank.add_argument("--window", type=int, default=15)
+    _add_config_flags(p_rerank, ("--lexicon", "--window"))
     p_rerank.set_defaults(func=_cmd_rerank)
 
     p_retrieve = sub.add_parser("retrieve", help="nearest-neighbor baseline")
     p_retrieve.add_argument("--query", required=True)
     p_retrieve.add_argument("--index-dir", help="persisted index directory")
     p_retrieve.add_argument("--corpus", help="corpus to index ad hoc")
-    p_retrieve.add_argument("--kind", default="lyrics", choices=["lyrics", "news", "movies"])
+    p_retrieve.add_argument("--kind", default="lyrics", choices=KINDS)
     p_retrieve.add_argument("--save-index", help="persist the ad hoc index here")
     p_retrieve.add_argument("--vectors", help="word-vector text file (word v1 ... vd)")
     p_retrieve.add_argument(
@@ -626,23 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", help="strip -> noise -> select -> enhance")
     p_pipe.add_argument("path")
-    p_pipe.add_argument("--kind", default="news", choices=["lyrics", "news", "movies"])
+    p_pipe.add_argument("--kind", default="news", choices=KINDS)
     p_pipe.add_argument("--config", help=f"JSON config (default ${CONFIG_ENV_VAR})")
     p_pipe.add_argument("--hypotheses", help="JSON-lines generator batch to rerank")
-    p_pipe.add_argument("--lexicon")
-    p_pipe.add_argument("--stopwords")
-    p_pipe.add_argument("--synonyms")
-    p_pipe.add_argument("--deny")
-    p_pipe.add_argument("--corpus")
-    p_pipe.add_argument("--noise", choices=["none", "shuffle", "drop", "synonym"])
-    p_pipe.add_argument("--seed", type=int)
-    p_pipe.add_argument("--drop-rate", type=float)
-    p_pipe.add_argument("--synonym-rate", type=float)
-    p_pipe.add_argument("--window", type=int)
-    p_pipe.add_argument("--k", type=int)
-    p_pipe.add_argument("--mode", choices=["first", "best"])
-    p_pipe.add_argument("--predictor", choices=["corpus", "remote"])
-    p_pipe.add_argument("--endpoint")
+    _add_config_flags(p_pipe, _CONFIG_FLAGS)
     p_pipe.add_argument("--summary", action="store_true", help="print a mean ± std table to stderr")
     p_pipe.set_defaults(func=_cmd_pipeline)
 

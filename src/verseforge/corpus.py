@@ -28,6 +28,10 @@ NL_TOKEN = "<nl>"
 
 Line = list[str]
 
+# Document kinds: a lyrics file is one song, a news or movies file holds
+# one document per line.
+KINDS = ("lyrics", "news", "movies")
+
 
 class EmptyCorpusError(ValueError):
     """Raised when an operation requires at least one document."""
@@ -42,7 +46,7 @@ class Document:
     """
 
     id: str
-    kind: str  # lyrics | news | movies
+    kind: str  # one of KINDS
     lines: list[Line]
     raw: str
 

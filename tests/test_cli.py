@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +84,43 @@ class TestLoadConfig:
         cfg = load_config(None)
         assert cfg.noise == "shuffle" and cfg.predictor == "corpus"
 
+    def test_readme_example_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+        path = tmp_path / "cfg.json"
+        path.write_text(example)
+        assert len(json.loads(example)) == 13
+        assert load_config(path) == load_config(None)
+
+    def test_deny_list_is_not_a_config_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"enhance": {"deny_list": []}}')
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == "unknown config key enhance.'deny_list'; valid keys: k, mode"
+
+    def test_float_key_takes_an_int(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"drop_rate": 1}')
+        assert load_config(path).drop_rate == 1
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"enhance": {"k": True}}, "enhance.'k'"),
+            ({"rhyme": {"exclude_identical": 1}}, "rhyme.'exclude_identical'"),
+            ({"drop_rate": "0.5"}, "'drop_rate'"),
+            ({"rhyme": []}, "'rhyme'"),
+            ({"endpoint": 5}, "'endpoint'"),
+        ],
+    )
+    def test_wrong_type_rejected(self, tmp_path, data, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"config key {key} has wrong type: ")
+
 
 class TestServeReport:
     def test_single_report_zero_std(self):
@@ -164,6 +203,22 @@ class TestPairCommand:
         )
         assert code == 0 and out == ""
         assert len(out_path.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [MINI / "missing.txt"],
+            [MINI / "doc_a.txt", "--noise", "synonym"],
+            [MINI / "doc_a.txt", "--drop-rate", "2"],
+        ],
+    )
+    def test_failed_run_leaves_out_file_untouched(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "pairs.jsonl"
+        out_path.write_bytes(b"keep\n")
+        code, out, err = run_cli(capsys, "pair", *argv, "--out", out_path)
+        assert code == 1 and out == ""
+        assert "error" in json.loads(err)
+        assert out_path.read_bytes() == b"keep\n"
 
 
 class TestAnalyzeCommand:
@@ -458,6 +513,18 @@ class TestPipeline:
         assert "±" in err and "Overlap" in err
         assert len(out.splitlines()) == 2
 
+    def test_empty_hypothesis_batch_is_a_rerank_error(self, capsys, tmp_path):
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text("")
+        code, out, err = run_cli(
+            capsys, "pipeline", MINI / "doc_a.txt", "--kind", "lyrics",
+            "--corpus", MINI, "--hypotheses", hyps,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "rerank: rerank requires at least one hypothesis", "stage": "rerank"
+        }
+
     def test_config_file_plus_env(self, capsys, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -498,3 +565,70 @@ class TestErrorReporting:
         )
         assert code == 1
         assert "endpoint" in json.loads(err)["error"]
+
+
+class TestSharedConfigFlags:
+    # Every subcommand that takes a resource flag, with the arguments it
+    # needs to get as far as loading that resource.
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("analyze", "--lexicon"),
+            ("enhance", "--lexicon"),
+            ("rerank", "--lexicon"),
+            ("pipeline", "--lexicon"),
+            ("strip", "--stopwords"),
+            ("pair", "--stopwords"),
+            ("pipeline", "--stopwords"),
+            ("strip", "--synonyms"),
+            ("pair", "--synonyms"),
+            ("pipeline", "--synonyms"),
+            ("enhance", "--deny"),
+            ("pipeline", "--deny"),
+            ("enhance", "--corpus"),
+            ("pipeline", "--corpus"),
+            ("retrieve", "--corpus"),
+        ],
+    )
+    def test_missing_path_is_a_json_error(self, capsys, tmp_path, command, flag):
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text('{"rank": 0, "text": "go slow flow"}\n')
+        base = {
+            "analyze": [MINI],
+            "enhance": [MINI / "doc_d.txt", "--corpus", MINI],
+            "rerank": ["--hypotheses", hyps],
+            "pipeline": [MINI / "doc_a.txt", "--corpus", MINI],
+            "strip": [MINI],
+            "pair": [MINI],
+            "retrieve": ["--query", MINI / "doc_a.txt"],
+        }[command]
+        missing = tmp_path / "missing"
+        code, out, err = run_cli(capsys, command, *base, flag, missing)
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert str(missing) in json.loads(err)["error"]
+
+    def test_missing_path_names_its_config_key(self, capsys, tmp_path):
+        missing = tmp_path / "missing.dict"
+        code, _, err = run_cli(capsys, "analyze", MINI, "--lexicon", missing)
+        assert code == 1
+        assert json.loads(err) == {"error": f"lexicon_path does not exist: {missing}"}
+
+    def test_enhance_ignores_config_env(self, capsys, tmp_path, monkeypatch):
+        argv = ["enhance", MINI / "doc_d.txt", "--lexicon", LEXICON, "--corpus", MINI]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{not json")
+        monkeypatch.setenv("VERSEFORGE_CONFIG", str(cfg_path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == expected
+
+    def test_enhance_empty_predictor_corpus_is_a_json_error(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "short.txt").write_text("one line\nand another\n")
+        code, out, err = run_cli(capsys, "enhance", MINI / "doc_d.txt", "--corpus", corpus)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "cannot build predictor from an empty corpus"}

@@ -86,7 +86,12 @@ _LINE = st.one_of(
     _ENTRY,
     _ENTRY.map(str.lower),
     st.builds(lambda pad, entry: pad + entry + pad, _SPACE, _ENTRY),
-    st.builds(lambda s: ";;;" + s, st.text(st.characters(blacklist_characters="\r\n"), max_size=8)),
+    st.builds(
+        lambda s: ";;;" + s,
+        st.text(
+            st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)), max_size=8
+        ),
+    ),
     st.just(""),
     _SPACE,
 )
