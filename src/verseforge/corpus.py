@@ -16,7 +16,15 @@ from statistics import mean, pstdev
 # Characters split off token edges as standalone tokens. Apostrophes and
 # hyphens stay inside tokens ("can't", "mid-30s").
 PUNCT_CHARS = '.,!?;:"()[]'
-_PUNCT_SET = frozenset(PUNCT_CHARS)
+
+# One token: a single punctuation character, or a run of non-whitespace
+# that neither starts nor ends with punctuation. Over a whitespace-delimited
+# chunk this yields the leading punctuation one by one, the core, then the
+# trailing punctuation one by one. ``\s`` and ``str.split`` agree on what
+# whitespace is.
+_TOKEN_RE = re.compile(
+    r"[{p}]|[^\s{p}](?:\S*[^\s{p}])?".format(p=re.escape(PUNCT_CHARS))
+)
 
 # Tokens made solely of digits, optionally with internal commas/periods
 # ("4", "1,000", "3.14"). "mid-30s" is not a number.
@@ -87,20 +95,6 @@ class CorpusStats:
         }
 
 
-def _split_token(raw: str) -> list[str]:
-    """Detach edge punctuation from a whitespace-delimited chunk."""
-    head: list[str] = []
-    tail: list[str] = []
-    while raw and raw[0] in _PUNCT_SET:
-        head.append(raw[0])
-        raw = raw[1:]
-    while raw and raw[-1] in _PUNCT_SET:
-        tail.append(raw[-1])
-        raw = raw[:-1]
-    tail.reverse()
-    return head + ([raw] if raw else []) + tail
-
-
 def tokenize(text: str) -> list[Line]:
     """Lowercase and tokenize ``text`` into per-line token lists.
 
@@ -110,9 +104,7 @@ def tokenize(text: str) -> list[Line]:
     """
     lines: list[Line] = []
     for raw_line in text.lower().splitlines():
-        tokens: Line = []
-        for chunk in raw_line.split():
-            tokens.extend(_split_token(chunk))
+        tokens: Line = _TOKEN_RE.findall(raw_line)
         if tokens:
             lines.append(tokens)
     return lines

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Protocol
 
@@ -50,8 +52,17 @@ class PredictorQuery:
     k: int = 200
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, but true/false is no position or count.
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if not isinstance(self.mask_index, int) or isinstance(self.mask_index, bool):
+            raise ValueError(f"mask_index must be an integer, got {self.mask_index!r}")
+        if not 0 <= self.mask_index < len(self.tokens):
+            raise ValueError(
+                f"mask_index {self.mask_index} out of range for {len(self.tokens)} tokens"
+            )
         if self.tokens.count(MASK_TOKEN) != 1 or self.tokens[self.mask_index] != MASK_TOKEN:
             raise ValueError("query must contain exactly one mask at mask_index")
 
@@ -124,17 +135,17 @@ def mask_text(verse: Verse, i: int, k: int = 200) -> PredictorQuery:
 
 def _usable_candidates(
     raw: CandidateList, tgt: str, cfg: EnhanceConfig
-) -> list[str]:
-    """Drop deny-listed, non-alphabetic, and same-as-target candidates."""
-    kept = []
-    for tok, _ in raw.candidates[: cfg.k]:
+) -> Iterator[str]:
+    """Usable top-``cfg.k`` candidates, lowercased, in score order.
+
+    Deny-listed, non-alphabetic and same-as-target tokens are dropped. The
+    generator filters only as far as its caller reads, so a scan that stops
+    at the first improvement lowercases and tests no later candidate.
+    """
+    for tok, _ in islice(raw.candidates, cfg.k):
         tok = tok.lower()
-        if not tok.isalpha():
-            continue
-        if tok in cfg.deny_list or tok == tgt:
-            continue
-        kept.append(tok)
-    return kept
+        if tok.isalpha() and tok not in cfg.deny_list and tok != tgt:
+            yield tok
 
 
 def get_rhyming_replacement(
@@ -228,13 +239,25 @@ class CorpusPredictor:
     Every vocabulary word is scored by how often it ends a line plus a
     small credit for appearing anywhere; queries get the global top-k,
     independent of context. Ties order lexicographically.
+
+    ``predict`` returns a shared, immutable list: the top-k is built and
+    validated on the first query for each ``k`` (a ``k`` beyond the
+    vocabulary counts as its size) and the same object is returned for
+    every later query with that ``k``. A top-k that fails validation is
+    not kept, so each such query raises again.
     """
 
     def __init__(self, ranking: list[tuple[str, float]]):
-        self._ranking = ranking
+        # A private copy: the kept lists cannot go stale.
+        self._ranking = tuple(ranking)
+        self._top_k: dict[int, CandidateList] = {}
 
     def predict(self, query: PredictorQuery) -> CandidateList:
-        return CandidateList(tuple(self._ranking[: query.k]))
+        k = min(query.k, len(self._ranking))
+        top = self._top_k.get(k)
+        if top is None:
+            top = self._top_k[k] = CandidateList(self._ranking[:k])
+        return top
 
     def __len__(self) -> int:
         return len(self._ranking)
@@ -328,6 +351,7 @@ def _parse_response(resp: requests.Response, k: int) -> CandidateList:
             not isinstance(item, dict)
             or not isinstance(item.get("token"), str)
             or not isinstance(item.get("score"), (int, float))
+            or isinstance(item["score"], bool)
         ):
             raise PredictorProtocolError(f"malformed candidate entry: {excerpt!r}")
         try:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from verseforge.corpus import (
+    PUNCT_CHARS,
     Document,
     EmptyCorpusError,
     corpus_stats,
@@ -19,6 +20,28 @@ from verseforge.corpus import (
 )
 
 from conftest import DATA_DIR
+
+# Every character str.isspace accepts: str.split and the regex \s must agree.
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def reference_tokenize(text: str) -> list[list[str]]:
+    """Reference: split each line on whitespace, then peel edge punctuation."""
+    lines = []
+    for raw_line in text.lower().splitlines():
+        tokens = []
+        for chunk in raw_line.split():
+            head, tail = [], []
+            while chunk and chunk[0] in PUNCT_CHARS:
+                head.append(chunk[0])
+                chunk = chunk[1:]
+            while chunk and chunk[-1] in PUNCT_CHARS:
+                tail.append(chunk[-1])
+                chunk = chunk[:-1]
+            tokens.extend(head + ([chunk] if chunk else []) + tail[::-1])
+        if tokens:
+            lines.append(tokens)
+    return lines
 
 
 def make_doc(raw: str, kind: str = "lyrics", doc_id: str = "d") -> Document:
@@ -48,6 +71,18 @@ class TestTokenize:
 
     def test_interior_punctuation_kept(self):
         assert tokenize("mid-30s don't") == [["mid-30s", "don't"]]
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from(WHITESPACE + list(PUNCT_CHARS) + list("aZİß'-9")),
+                st.characters(),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=200))
     def test_retokenization_stable(self, text):

@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from verseforge.corpus import Verse, tokenize
 from verseforge.enhance import (
+    MODES,
     CandidateList,
+    CorpusPredictor,
     EnhanceConfig,
     PredictorError,
     PredictorQuery,
@@ -17,7 +20,7 @@ from verseforge.enhance import (
 )
 from verseforge.metrics import rhyme_length
 
-from conftest import random_verse
+from conftest import MIXED_TOKENS, TOY_WORDS, random_verse
 
 
 class FixedPredictor:
@@ -35,6 +38,33 @@ class FixedPredictor:
 class FailingPredictor:
     def predict(self, query):
         raise ConnectionResetError("socket closed")
+
+
+def eager_replacement(verse, src_idx, tgt_idx, raw, cfg, lex):
+    """Reference: filter the whole top-k into a list, then scan it."""
+    src = verse.lines[src_idx][-1]
+    tgt = verse.lines[tgt_idx][-1]
+    rl_orig = rhyme_length(src, tgt, lex)
+    candidates = []
+    for tok, _ in raw.candidates[: cfg.k]:
+        tok = tok.lower()
+        if not tok.isalpha():
+            continue
+        if tok in cfg.deny_list or tok == tgt:
+            continue
+        candidates.append(tok)
+    if cfg.mode == "first_improvement":
+        for cand in candidates:
+            rl = rhyme_length(cand, src, lex)
+            if rl > rl_orig:
+                return cand, rl
+        return tgt, rl_orig
+    best_tok, best_rl = tgt, rl_orig
+    for cand in candidates:
+        rl = rhyme_length(cand, src, lex)
+        if rl > best_rl:
+            best_tok, best_rl = cand, rl
+    return best_tok, best_rl
 
 
 @pytest.fixture
@@ -60,6 +90,14 @@ class TestQueryTypes:
     def test_k_positive(self):
         with pytest.raises(ValueError):
             PredictorQuery(("<mask>",), 0, k=0)
+
+    @pytest.mark.parametrize(
+        "mask_index, k",
+        [(5, 1), (1, 1), (-1, 1), (True, 1), (0.0, 1), (0, True), (0, 2.0), (0, "3")],
+    )
+    def test_mask_index_and_k_must_be_in_range_ints(self, mask_index, k):
+        with pytest.raises(ValueError):
+            PredictorQuery(("<mask>",), mask_index, k)
 
     def test_candidates_must_be_sorted(self):
         with pytest.raises(ValueError):
@@ -173,6 +211,30 @@ class TestGetRhymingReplacement:
         )
         assert token == "rules"
 
+    @given(
+        tokens=st.lists(st.sampled_from(MIXED_TOKENS), max_size=12),
+        src=st.sampled_from(TOY_WORDS),
+        tgt=st.sampled_from(TOY_WORDS),
+        deny=st.frozensets(st.sampled_from(TOY_WORDS), max_size=6),
+        query_k=st.integers(min_value=1, max_value=15),
+        cfg_k=st.integers(min_value=1, max_value=15),
+        mode=st.sampled_from(MODES),
+    )
+    # "cat" would improve the rhyme but lies beyond the top cfg_k
+    @example(tokens=["gold", "cat"], src="bat", tgt="day", deny=frozenset(),
+             query_k=5, cfg_k=1, mode="first_improvement")
+    @example(tokens=["gold", "cat"], src="bat", tgt="day", deny=frozenset(),
+             query_k=5, cfg_k=1, mode="best_of_k")
+    def test_matches_eager_reference(self, toy_lex, tokens, src, tgt, deny, query_k, cfg_k, mode):
+        # MIXED_TOKENS holds mixed-case, non-alphabetic and toy words, so the
+        # lists carry target-equal and deny-listed candidates too.
+        verse = Verse([["we", "ride", src], ["they", "fall", tgt]])
+        predictor = FixedPredictor(tokens)
+        cfg = EnhanceConfig(k=cfg_k, mode=mode, deny_list=deny)
+        query = mask_text(verse, 1, query_k)
+        expected = eager_replacement(verse, 0, 1, predictor.predict(query), cfg, toy_lex)
+        assert get_rhyming_replacement(verse, 0, 1, query, predictor, cfg, toy_lex) == expected
+
     def test_predictor_failure_wrapped(self, example_verse, sample_lex):
         query = mask_text(example_verse, 1)
         with pytest.raises(PredictorError, match="mask_index"):
@@ -274,6 +336,25 @@ class TestCorpusPredictor:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_corpus_predictor([])
+
+    def test_same_validated_list_per_k(self):
+        ranking = [("a", 3.0), ("b", 2.0), ("c", 2.0), ("d", 1.0)]
+        predictor = CorpusPredictor(ranking)
+        for k in range(1, len(ranking) + 3):
+            query = PredictorQuery(("<mask>",), 0, k=k)
+            first = predictor.predict(query)
+            assert predictor.predict(query) is first
+            assert first == CandidateList(tuple(ranking[:k]))
+        assert predictor.predict(PredictorQuery(("<mask>",), 0, k=2)).tokens() == ["a", "b"]
+
+    def test_unsorted_ranking_raises_on_every_call(self):
+        predictor = CorpusPredictor([("a", 1.0), ("b", 2.0)])
+        query = PredictorQuery(("<mask>",), 0, k=2)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not sorted"):
+                predictor.predict(query)
+        # the one-word prefix is in order
+        assert predictor.predict(PredictorQuery(("<mask>",), 0, k=1)).tokens() == ["a"]
 
     def test_lexicographic_tie_break(self):
         verses = [Verse([["zeta", "beta"], ["x", "alpha"]])]

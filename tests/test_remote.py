@@ -155,6 +155,14 @@ def test_bad_entry_shape_is_protocol_error():
             remote_predict(stub.endpoint, QUERY)
 
 
+def test_boolean_score_is_protocol_error():
+    body = {"candidates": [{"token": "a", "score": True}]}
+    with StubServer([(200, body)]) as stub:
+        with pytest.raises(PredictorProtocolError, match="malformed"):
+            remote_predict(stub.endpoint, QUERY)
+    assert len(stub.requests) == 1
+
+
 def test_k_bound_enforced():
     body = {"candidates": [{"token": f"w{i}", "score": float(-i)} for i in range(6)]}
     with StubServer([(200, body)]) as stub:
@@ -230,25 +238,53 @@ def _load_predictor_server():
     return module
 
 
-@pytest.mark.parametrize("length", ["abc", "-5"])
-def test_predictor_server_rejects_bad_content_length(length):
+@pytest.fixture
+def predictor_server():
+    """Address of ``scripts/predictor_server.py``'s handler on a loopback port."""
     script = _load_predictor_server()
     predictor = script.build_corpus_predictor([Verse([["day", "way"], ["play", "day"]])])
     server = ThreadingHTTPServer(("127.0.0.1", 0), script.make_handler(predictor))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        host, port = server.server_address
-        conn = http.client.HTTPConnection(host, port, timeout=5)
-        conn.putrequest("POST", "/predict")
-        conn.putheader("Content-Type", "application/json")
-        conn.putheader("Content-Length", length)
-        conn.endheaders()
-        response = conn.getresponse()
-        assert response.status == 400
-        conn.close()
+        yield server.server_address
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def _post(address, body: bytes, length: str | None = None):
+    conn = http.client.HTTPConnection(*address, timeout=5)
+    try:
+        conn.putrequest("POST", "/predict")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(len(body)) if length is None else length)
+        conn.endheaders()
+        conn.send(body)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_predictor_server_rejects_bad_content_length(predictor_server, length):
+    status, _ = _post(predictor_server, b"", length)
+    assert status == 400
+
+
+@pytest.mark.parametrize(
+    "mask_index, k",
+    [(5, 3), (-1, 3), (True, 3), (0, True), (0, 0), (0.0, 3)],
+)
+def test_predictor_server_rejects_bad_mask_index_or_k(predictor_server, mask_index, k):
+    payload = {"tokens": ["<mask>"], "mask_index": mask_index, "k": k}
+    status, _ = _post(predictor_server, json.dumps(payload).encode())
+    assert status == 400
+    # the server keeps answering
+    valid = {"tokens": ["<mask>"], "mask_index": 0, "k": 3}
+    status, body = _post(predictor_server, json.dumps(valid).encode())
+    assert status == 200
+    assert [c["token"] for c in json.loads(body)["candidates"]] == ["day", "way", "play"]
