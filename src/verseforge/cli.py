@@ -375,7 +375,7 @@ def _cmd_strip(args) -> None:
         workers=args.jobs,
     )
     for cw in results:
-        text = join_lines(cw.as_line_lists())
+        text = join_lines(cw.lines)
         _emit({"doc": cw.provenance, "noise": cw.noise, "seed": cw.seed, "text": text})
 
 
@@ -540,7 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_strip.add_argument("path")
     p_strip.add_argument("--kind", default="lyrics", choices=KINDS)
     _add_config_flags(p_strip, _NOISE_FLAGS)
-    p_strip.add_argument("--jobs", type=int, default=1)
+    p_strip.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted and ignored: strip runs serially",
+    )
     # strip and pair add no noise unless asked; the config default is shuffle
     p_strip.set_defaults(func=_cmd_strip, noise="none")
 

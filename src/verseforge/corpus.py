@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import mean, pstdev
+from typing import Iterable
 
 # Characters split off token edges as standalone tokens. Apostrophes and
 # hyphens stay inside tokens ("can't", "mid-30s").
@@ -115,7 +116,7 @@ def detokenize(lines: list[Line]) -> str:
     return "\n".join(" ".join(line) for line in lines)
 
 
-def join_lines(lines: list[Line]) -> str:
+def join_lines(lines: Iterable[Iterable[str]]) -> str:
     """Flatten token lines into one space-joined string with NL_TOKEN breaks."""
     flat: list[str] = []
     for i, line in enumerate(lines):
@@ -200,6 +201,15 @@ def corpus_stats(docs: list[Document]) -> CorpusStats:
         tokens_per_doc=(mean(toks), pstdev(toks)),
         tokens_per_sentence=(mean(per_sent), pstdev(per_sent)),
     )
+
+
+def load_word_list(path: str | Path) -> frozenset[str]:
+    """One lowercase word per line, UTF-8; blank lines are skipped."""
+    words = (
+        line.strip().lower()
+        for line in Path(path).read_text(encoding="utf-8").splitlines()
+    )
+    return frozenset(w for w in words if w)
 
 
 def load_document(path: str | Path, kind: str, doc_id: str | None = None) -> Document:

@@ -17,12 +17,11 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
 from typing import Protocol
 
 import requests
 
-from .corpus import NL_TOKEN, Verse
+from .corpus import NL_TOKEN, Verse, load_word_list as load_deny_list
 from .metrics import rhyme_length
 from .phonetics import Lexicon
 
@@ -102,15 +101,6 @@ class MaskedPredictor(Protocol):
     """Anything that maps a masked query to ranked candidates, deterministically."""
 
     def predict(self, query: PredictorQuery) -> CandidateList: ...
-
-
-def load_deny_list(path: str | Path) -> frozenset[str]:
-    """One lowercase word per line."""
-    words = (
-        line.strip().lower()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-    )
-    return frozenset(w for w in words if w)
 
 
 def mask_text(verse: Verse, i: int, k: int = 200) -> PredictorQuery:

@@ -262,6 +262,11 @@ def _embed(
     rows = [word_vectors[t] for t in tokens if t not in stopwords and t in word_vectors]
     if not rows:
         return {}
+    # Scale the largest magnitude into [0.5, 1) so that neither the sums
+    # nor the squares in _normalize overflow or underflow. A power of two
+    # scales exactly, and normalizing cancels it.
+    _, exp = math.frexp(max(abs(v) for r in rows for v in r))
+    rows = [[math.ldexp(v, -exp) for v in r] for r in rows]
     dim = len(rows[0])
     mean = [sum(r[d] for r in rows) / len(rows) for d in range(dim)]
     return _normalize({d: v for d, v in enumerate(mean) if v != 0.0})
@@ -412,9 +417,9 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
 
     Line n of vocabulary.tsv holds dimension n-1 of a new term, with a
     document frequency in ``1..N``; vectors.txt dimensions must be below
-    ``V`` and weights finite and non-negative. Percent-encoded ids and
-    terms are decoded. A malformed file raises ValueError naming the file
-    and line.
+    ``V`` and weights in [0, 1], as in any L2-normalized vector, so no
+    similarity overflows. Percent-encoded ids and terms are decoded. A
+    malformed file raises ValueError naming the file and line.
     """
     dir_path = Path(dir_path)
     vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
@@ -445,8 +450,11 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
             vec = {int(d): float(w) for d, w in (p.split(":") for p in parts[1:])}
             if vec and (min(vec) < 0 or max(vec) >= n_dims):
                 raise ValueError(f"dimension outside 0..{n_dims - 1}")
-            if not all(map(math.isfinite, vec.values())) or (vec and min(vec.values()) < 0.0):
-                raise ValueError("weights must be finite and non-negative")
+            weights = vec.values()
+            if not all(map(math.isfinite, weights)) or (
+                vec and (min(weights) < 0.0 or max(weights) > 1.0)
+            ):
+                raise ValueError("weights must be finite, non-negative and at most 1")
         except ValueError as exc:
             raise ValueError(f"{vectors_path}:{lineno}: {exc}") from None
         doc_ids.append(unquote(parts[0]))

@@ -4,20 +4,20 @@ Stripping keeps only content words (no stopwords, numbers, or punctuation)
 per line, preserving line structure. One of three noise types is then
 applied to promote novelty in a downstream generator: per-line shuffling,
 dropping a fixed fraction of tokens, or swapping a fixed fraction for
-synonyms. Everything is deterministic given (seed, document id), so batch
-runs are reproducible regardless of worker count.
+synonyms. Everything is deterministic given (seed, document id).
 """
 
 from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import count
 from pathlib import Path
 from typing import IO, Iterable
 
-from .corpus import Document, Line, Verse, is_number, is_punctuation, join_lines
+from .corpus import Document, Verse, is_number, is_punctuation, join_lines
+from .corpus import load_word_list as load_stopwords
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -59,9 +59,6 @@ class ContentWords:
     def flat(self) -> list[str]:
         return [tok for line in self.lines for tok in line]
 
-    def as_line_lists(self) -> list[Line]:
-        return [list(line) for line in self.lines]
-
 
 @dataclass
 class SynonymLexicon:
@@ -73,8 +70,9 @@ class SynonymLexicon:
     def load(cls, path: str | Path) -> "SynonymLexicon":
         """Parse tab-separated ``word<TAB>syn1,syn2,...`` lines.
 
-        Multi-word synonyms and self-synonyms are dropped; words left with
-        no usable synonym are omitted.
+        Synonyms that contain whitespace of any kind (multi-word phrases) and
+        self-synonyms are dropped; words left with no usable synonym are
+        omitted.
         """
         entries: dict[str, tuple[str, ...]] = {}
         for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -85,7 +83,7 @@ class SynonymLexicon:
             word = word.strip().lower()
             syns = tuple(
                 s for s in (p.strip().lower() for p in tail.split(","))
-                if s and s != word and " " not in s
+                if s != word and len(s.split()) == 1
             )
             if word and syns:
                 entries[word] = syns
@@ -93,15 +91,6 @@ class SynonymLexicon:
 
     def get(self, word: str) -> tuple[str, ...]:
         return self.entries.get(word, ())
-
-
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One lowercase word per line, UTF-8."""
-    words = (
-        line.strip().lower()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-    )
-    return frozenset(w for w in words if w)
 
 
 def default_stopwords() -> frozenset[str]:
@@ -153,22 +142,24 @@ def noise_shuffle(cw: ContentWords, seed: int) -> ContentWords:
     return replace(cw, lines=tuple(shuffled), noise="shuffle", seed=seed)
 
 
+def _noise_positions(cw: ContentWords, rate: float, seed: int) -> tuple[random.Random, set[int]]:
+    """The document's RNG and floor(rate * n) token positions drawn from it.
+
+    Positions count tokens across lines. A count of 0 draws nothing.
+    """
+    n = cw.token_count()
+    rng = _rng(seed, cw.provenance)
+    return rng, set(rng.sample(range(n), _noise_count(rate, n)))
+
+
 def noise_drop(cw: ContentWords, cfg: NoiseConfig) -> ContentWords:
     """Remove exactly floor(drop_rate * n) tokens, chosen uniformly."""
-    n = cw.token_count()
-    n_drop = _noise_count(cfg.drop_rate, n)
-    rng = _rng(cfg.seed, cw.provenance)
-    dropped = set(rng.sample(range(n), n_drop)) if n_drop else set()
-    out: list[tuple[str, ...]] = []
-    pos = 0
-    for line in cw.lines:
-        kept = []
-        for tok in line:
-            if pos not in dropped:
-                kept.append(tok)
-            pos += 1
-        out.append(tuple(kept))
-    return replace(cw, lines=tuple(out), noise="drop", seed=cfg.seed)
+    _, dropped = _noise_positions(cw, cfg.drop_rate, cfg.seed)
+    pos = count()
+    lines = tuple(
+        tuple(tok for tok in line if next(pos) not in dropped) for line in cw.lines
+    )
+    return replace(cw, lines=lines, noise="drop", seed=cfg.seed)
 
 
 def noise_synonym(
@@ -179,24 +170,19 @@ def noise_synonym(
     Selected tokens without a known synonym stay unchanged; token count is
     always preserved.
     """
-    n = cw.token_count()
-    n_rep = _noise_count(cfg.synonym_rate, n)
-    rng = _rng(cfg.seed, cw.provenance)
-    chosen = sorted(rng.sample(range(n), n_rep)) if n_rep else []
-    targets = set(chosen)
-    out: list[tuple[str, ...]] = []
-    pos = 0
-    for line in cw.lines:
-        toks = []
-        for tok in line:
-            if pos in targets:
-                syns = tuple(s for s in lex.get(tok) if s != tok)
-                if syns:
-                    tok = rng.choice(syns)
-            toks.append(tok)
-            pos += 1
-        out.append(tuple(toks))
-    return replace(cw, lines=tuple(out), noise="synonym", seed=cfg.seed)
+    rng, targets = _noise_positions(cw, cfg.synonym_rate, cfg.seed)
+
+    def swap(tok: str) -> str:
+        syns = tuple(s for s in lex.get(tok) if s != tok)
+        return rng.choice(syns) if syns else tok
+
+    # Targets are visited in position order, so rng.choice draws in that order.
+    pos = count()
+    lines = tuple(
+        tuple(swap(tok) if next(pos) in targets else tok for tok in line)
+        for line in cw.lines
+    )
+    return replace(cw, lines=lines, noise="synonym", seed=cfg.seed)
 
 
 def apply_noise(
@@ -219,16 +205,9 @@ def apply_noise(
     raise ValueError(f"unknown noise type {noise!r}; expected one of {NOISE_TYPES}")
 
 
-def training_pair_record(cw: ContentWords, target: Verse) -> dict:
-    return {
-        "source": join_lines(cw.as_line_lists()),
-        "target": join_lines(target.lines),
-    }
-
-
 def emit_training_pair(cw: ContentWords, target: Verse, out: IO[str]) -> dict:
     """Append one JSON-lines (source, target) record for an external trainer."""
-    record = training_pair_record(cw, target)
+    record = {"source": join_lines(cw.lines), "target": join_lines(target.lines)}
     out.write(json.dumps(record) + "\n")
     return record
 
@@ -243,16 +222,13 @@ def strip_corpus(
 ) -> list[ContentWords]:
     """Strip and noise a batch of documents, output in input order.
 
-    Per-document RNG streams are derived from (seed, document id), so the
-    result is identical for any worker count.
+    Runs serially. ``workers`` is accepted and changes nothing: the work is
+    GIL-bound, so a thread pool made it slower, and per-document RNG streams
+    come from (seed, document id) alone.
     """
     if cfg is None:
         cfg = NoiseConfig()
-
-    def job(doc: Document) -> ContentWords:
-        return apply_noise(extract_content_words(doc, stopwords), noise, cfg, synonyms)
-
-    if workers <= 1:
-        return [job(d) for d in docs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, docs))
+    return [
+        apply_noise(extract_content_words(doc, stopwords), noise, cfg, synonyms)
+        for doc in docs
+    ]

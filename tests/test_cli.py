@@ -380,6 +380,8 @@ class TestRetrieveCommand:
             ("vectors.txt", 1, "d0 0:nan", "finite"),
             ("vectors.txt", 2, "d1 1:inf", "finite"),
             ("vectors.txt", 2, "d1 1:-0.5", "non-negative"),
+            ("vectors.txt", 1, "d0 0:1e308 1:1e308", "at most 1"),
+            ("vectors.txt", 2, "d1 1:1.0000000000000002", "at most 1"),
             ("vectors.txt", 1, "d0 0=0.5", "not enough values"),
             ("vectors.txt", 1, "d0 0:x", "could not convert"),
         ],

@@ -11,6 +11,8 @@ from verseforge.corpus import Document, Verse, tokenize
 from verseforge.metrics import RhymeConfig, repetition_score, rhyme_density
 from verseforge.selection import (
     Hypothesis,
+    _embed,
+    _normalize,
     _query_vector,
     build_index,
     build_vector_index,
@@ -395,3 +397,36 @@ class TestVectorIndex:
         )
         results = retrieve(index, make_doc("cat", "q"))
         assert results[0][1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("magnitude", [1e308, 1e200, 1e-300])
+    def test_extreme_magnitudes_keep_cosine(self, magnitude):
+        # Unscaled, 1e308 rows overflow to NaN, 1e200 squares to inf and
+        # 1e-300 squares to 0, each wiping out the similarity.
+        big = [magnitude, magnitude]
+        vectors = {"cat": big, "dog": big, "fish": [1.0, 0.0]}
+        docs = [make_doc("cat dog", "a"), make_doc("fish", "b")]
+        index = build_vector_index(docs, vectors, stopwords=NO_STOP)
+        results = retrieve(index, make_doc("cat dog", "q"), k=2)
+        assert [doc.id for doc, _ in results] == ["a", "b"]
+        assert results[0][1] == pytest.approx(1.0, abs=1e-9)
+        assert results[1][1] == pytest.approx(math.cos(math.pi / 4), abs=1e-9)
+
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e100, 1e100).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+                     min_size=3, max_size=3),
+            min_size=1, max_size=5,
+        ),
+        st.lists(st.integers(0, 5), max_size=8),
+    )
+    def test_scaling_is_exact(self, rows, picks):
+        # Away from overflow and underflow, scaling by a power of two
+        # leaves every bit of the normalized mean unchanged.
+        vectors = {f"w{i}": row for i, row in enumerate(rows)}
+        tokens = [f"w{i}" for i in picks]
+        known = [vectors[t] for t in tokens if t in vectors]
+        expected = {}
+        if known:
+            mean = [sum(r[d] for r in known) / len(known) for d in range(3)]
+            expected = _normalize({d: v for d, v in enumerate(mean) if v != 0.0})
+        assert _embed(tokens, vectors, NO_STOP) == expected

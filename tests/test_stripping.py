@@ -1,15 +1,18 @@
 import io
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from verseforge.corpus import Document, Verse, tokenize
 from verseforge.stripping import (
     ContentWords,
     NoiseConfig,
     SynonymLexicon,
+    _noise_count,
+    _rng,
     apply_noise,
     default_stopwords,
     emit_training_pair,
@@ -176,13 +179,22 @@ class TestSynonymLexiconLoad:
             "# comment\n"
             "big\tlarge,huge\n"
             "odd\todd\n"
-            "phrase\ttwo words,single\n",
+            "phrase\ttwo words,single\n"
+            "tabbed\ttwo\twords,lone\n"
+            "nbsp\tlarge\u00a0size,vast\n"
+            "emspace\thuge\u2003thing,giant\n"
+            "spaced\tlarge\u00a0size,huge\u2003thing\n",
             encoding="utf-8",
         )
         lex = SynonymLexicon.load(path)
         assert lex.get("big") == ("large", "huge")
         assert lex.get("odd") == ()  # only self-synonym: dropped
         assert lex.get("phrase") == ("single",)  # multi-word skipped
+        # Any whitespace inside a synonym makes it multi-word.
+        assert lex.get("tabbed") == ("lone",)
+        assert lex.get("nbsp") == ("vast",)
+        assert lex.get("emspace") == ("giant",)
+        assert lex.get("spaced") == ()
 
     def test_bundled_sample_loads(self):
         lex = SynonymLexicon.load(DATA_DIR.parent.parent / "src/verseforge/data/synonyms_sample.tsv")
@@ -260,5 +272,75 @@ class TestStripCorpus:
             results = strip_corpus(docs, stopwords, "shuffle", cfg, workers=workers)
             return json.dumps([cw.lines for cw in results]).encode()
 
-        assert render(1) == render(8)
+        for workers in (-1, 0, 2, 8):
+            assert render(1) == render(workers)
         assert render(1) == render(1)
+
+
+# Reference walks, each drawing its own positions in a plain loop; the
+# property tests below hold noise_drop and noise_synonym to them.
+def reference_noise_drop(cw: ContentWords, cfg: NoiseConfig) -> ContentWords:
+    n = cw.token_count()
+    n_drop = _noise_count(cfg.drop_rate, n)
+    rng = _rng(cfg.seed, cw.provenance)
+    dropped = set(rng.sample(range(n), n_drop)) if n_drop else set()
+    out: list[tuple[str, ...]] = []
+    pos = 0
+    for line in cw.lines:
+        kept = []
+        for tok in line:
+            if pos not in dropped:
+                kept.append(tok)
+            pos += 1
+        out.append(tuple(kept))
+    return replace(cw, lines=tuple(out), noise="drop", seed=cfg.seed)
+
+
+def reference_noise_synonym(
+    cw: ContentWords, lex: SynonymLexicon, cfg: NoiseConfig
+) -> ContentWords:
+    n = cw.token_count()
+    n_rep = _noise_count(cfg.synonym_rate, n)
+    rng = _rng(cfg.seed, cw.provenance)
+    chosen = sorted(rng.sample(range(n), n_rep)) if n_rep else []
+    targets = set(chosen)
+    out: list[tuple[str, ...]] = []
+    pos = 0
+    for line in cw.lines:
+        toks = []
+        for tok in line:
+            if pos in targets:
+                syns = tuple(s for s in lex.get(tok) if s != tok)
+                if syns:
+                    tok = rng.choice(syns)
+            toks.append(tok)
+            pos += 1
+        out.append(tuple(toks))
+    return replace(cw, lines=tuple(out), noise="synonym", seed=cfg.seed)
+
+
+_WORDS = st.sampled_from(TOY_WORDS[:8])
+_CONTENT_LINES = st.lists(st.lists(_WORDS, max_size=8), max_size=6)
+_RATES = st.one_of(st.sampled_from([0.0, 1.0, 0.29]), st.floats(0.0, 1.0))
+_PROVENANCES = st.one_of(st.sampled_from(["", "d", "doc_a#v0"]), st.text(max_size=10))
+# Tables may map a word to itself, which noise_synonym must skip.
+_TABLES = st.dictionaries(_WORDS, st.lists(_WORDS, min_size=1, max_size=3).map(tuple))
+
+
+class TestNoiseMatchesReference:
+    @given(_CONTENT_LINES, _RATES, st.integers(), _PROVENANCES)
+    @example([], 1.0, 0, "d")
+    @example([[], []], 0.29, -3, "d")
+    def test_drop(self, lines, rate, seed, provenance):
+        cw = cw_from(lines, provenance)
+        cfg = NoiseConfig(drop_rate=rate, seed=seed)
+        assert noise_drop(cw, cfg) == reference_noise_drop(cw, cfg)
+
+    @given(_CONTENT_LINES, _RATES, st.integers(), _PROVENANCES, _TABLES)
+    @example([], 1.0, 0, "d", {})
+    @example([["gold"] * 4, []], 1.0, 7, "d", {"gold": ("gold", "bold", "cold")})
+    def test_synonym(self, lines, rate, seed, provenance, table):
+        cw = cw_from(lines, provenance)
+        cfg = NoiseConfig(synonym_rate=rate, seed=seed)
+        lex = SynonymLexicon(table)
+        assert noise_synonym(cw, lex, cfg) == reference_noise_synonym(cw, lex, cfg)
