@@ -15,7 +15,7 @@ import math
 import time
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Protocol
 
@@ -66,11 +66,26 @@ class PredictorQuery:
             raise ValueError("query must contain exactly one mask at mask_index")
 
 
+# Usable candidates grouped by last vowel: vowel -> [(token, vowels), ...].
+VowelIndex = dict[str, list[tuple[str, tuple[str, ...]]]]
+
+
 @dataclass(frozen=True)
 class CandidateList:
-    """Replacement candidates with finite scores, ordered by descending score."""
+    """Replacement candidates with finite scores, ordered by descending score.
+
+    A list that enhancement reads more than once with the same
+    ``EnhanceConfig.k`` and deny list keeps, from its second use on, an
+    index of its usable candidates by last vowel for the lexicon of that
+    use (see :func:`get_rhyming_replacement`). The memo takes no part in
+    the constructor, equality, hash or ``repr``; a stored index is never
+    mutated, so threads that race to build one only duplicate work.
+    """
 
     candidates: tuple[tuple[str, float], ...]
+    _index_memo: dict[
+        tuple[int, frozenset[str]], tuple[Lexicon, VowelIndex] | None
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         scores = [s for _, s in self.candidates]
@@ -124,18 +139,39 @@ def mask_text(verse: Verse, i: int, k: int = 200) -> PredictorQuery:
 
 
 def _usable_candidates(
-    raw: CandidateList, tgt: str, cfg: EnhanceConfig
-) -> Iterator[str]:
-    """Usable top-``cfg.k`` candidates, lowercased, in score order.
+    raw: CandidateList, cfg: EnhanceConfig, lex: Lexicon
+) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Usable top-``cfg.k`` candidates with their vowels, in score order.
 
-    Deny-listed, non-alphabetic and same-as-target tokens are dropped. The
-    generator filters only as far as its caller reads, so a scan that stops
-    at the first improvement lowercases and tests no later candidate.
+    Tokens are lowercased; deny-listed, non-alphabetic and vowel-less ones
+    (which rhyme with nothing) are dropped. The generator filters only as
+    far as its caller reads, so a scan that stops at the first improvement
+    lowercases and tests no later candidate.
     """
     for tok, _ in islice(raw.candidates, cfg.k):
         tok = tok.lower()
-        if tok.isalpha() and tok not in cfg.deny_list and tok != tgt:
-            yield tok
+        if tok.isalpha() and tok not in cfg.deny_list and (vowels := lex.vowels(tok)):
+            yield tok, vowels
+
+
+def _vowel_index(raw: CandidateList, cfg: EnhanceConfig, lex: Lexicon) -> VowelIndex | None:
+    """The list's usable candidates by last vowel, or None on its first use.
+
+    A list used once (every remote reply) is scanned lazily instead: the
+    index costs a pass over all ``cfg.k`` candidates.
+    """
+    key = (cfg.k, cfg.deny_list)
+    memo = raw._index_memo
+    if key not in memo:
+        memo[key] = None
+        return None
+    entry = memo[key]
+    if entry is None or entry[0] is not lex:
+        index: VowelIndex = {}
+        for tok, vowels in _usable_candidates(raw, cfg, lex):
+            index.setdefault(vowels[-1], []).append((tok, vowels))
+        entry = memo[key] = (lex, index)
+    return entry[1]
 
 
 def get_rhyming_replacement(
@@ -151,6 +187,16 @@ def get_rhyming_replacement(
 
     Returns ``(token, rhyme_length_vs_anchor)``; the original target word
     comes back unchanged when no candidate strictly improves the rhyme.
+    ``first_improvement`` takes the first improving candidate in score
+    order, ``best_of_k`` the first with the longest rhyme.
+
+    Only a candidate whose last vowel is the anchor's, and which is not
+    the anchor itself, can improve the rhyme; any other has rhyme length
+    0, and the target itself scores exactly the original length, so
+    neither needs scoring. The first use of a candidate list filters its
+    candidates lazily. From the second use on (a corpus predictor returns
+    one shared list per ``k``), only the anchor's last vowel's bucket of
+    the list's index is read.
     """
     src = verse.lines[src_idx][-1]
     tgt = verse.lines[tgt_idx][-1]
@@ -163,20 +209,26 @@ def get_rhyming_replacement(
         raise PredictorError(
             f"predictor failed (mask_index={query.mask_index}): {exc}"
         ) from exc
-    candidates = _usable_candidates(raw, tgt, cfg)
-
-    if cfg.mode == "first_improvement":
-        for cand in candidates:
-            rl = rhyme_length(cand, src, lex)
-            if rl > rl_orig:
-                return cand, rl
+    index = _vowel_index(raw, cfg, lex)
+    src_vowels = lex.vowels(src)
+    if not src_vowels:
         return tgt, rl_orig
+    last = src_vowels[-1]
+    candidates = _usable_candidates(raw, cfg, lex) if index is None else index.get(last, ())
 
-    # best_of_k: maximize rhyme length; score order breaks ties.
+    # Score order breaks ties in both modes.
     best_tok, best_rl = tgt, rl_orig
-    for cand in candidates:
-        rl = rhyme_length(cand, src, lex)
+    for cand, vowels in candidates:
+        if vowels[-1] != last or cand == src:
+            continue
+        # The suffix loop of rhyme_length, past the matching last vowel.
+        n = min(len(vowels), len(src_vowels))
+        rl = 1
+        while rl < n and vowels[-1 - rl] == src_vowels[-1 - rl]:
+            rl += 1
         if rl > best_rl:
+            if cfg.mode == "first_improvement":
+                return cand, rl
             best_tok, best_rl = cand, rl
     return best_tok, best_rl
 

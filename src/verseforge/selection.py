@@ -14,6 +14,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 import re
 from array import array
 from dataclasses import dataclass, field, replace
@@ -417,9 +418,10 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
 
     Line n of vocabulary.tsv holds dimension n-1 of a new term, with a
     document frequency in ``1..N``; vectors.txt dimensions must be below
-    ``V`` and weights in [0, 1], as in any L2-normalized vector, so no
-    similarity overflows. Percent-encoded ids and terms are decoded. A
-    malformed file raises ValueError naming the file and line.
+    ``V``, weights in [0, 1] and squared norms at most 1 (plus rounding),
+    as in any L2-normalized vector, so every similarity is a cosine.
+    Percent-encoded ids and terms are decoded. A malformed file raises
+    ValueError naming the file and line.
     """
     dir_path = Path(dir_path)
     vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
@@ -455,6 +457,8 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
                 vec and (min(weights) < 0.0 or max(weights) > 1.0)
             ):
                 raise ValueError("weights must be finite, non-negative and at most 1")
+            if sum(map(operator.mul, weights, weights)) > 1.0 + 1e-9:
+                raise ValueError("vector norm above 1")
         except ValueError as exc:
             raise ValueError(f"{vectors_path}:{lineno}: {exc}") from None
         doc_ids.append(unquote(parts[0]))

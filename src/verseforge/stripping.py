@@ -71,7 +71,8 @@ class SynonymLexicon:
         """Parse tab-separated ``word<TAB>syn1,syn2,...`` lines.
 
         Synonyms that contain whitespace of any kind (multi-word phrases) and
-        self-synonyms are dropped; words left with no usable synonym are
+        self-synonyms are dropped; words left with no usable synonym, and
+        head words that contain whitespace (no token can match them), are
         omitted.
         """
         entries: dict[str, tuple[str, ...]] = {}
@@ -85,7 +86,7 @@ class SynonymLexicon:
                 s for s in (p.strip().lower() for p in tail.split(","))
                 if s != word and len(s.split()) == 1
             )
-            if word and syns:
+            if len(word.split()) == 1 and syns:
                 entries[word] = syns
         return cls(entries)
 

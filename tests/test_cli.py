@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -294,6 +295,27 @@ class TestEnhanceCommand:
         assert record["rd_after"] == record["rd_before"]
 
 
+class TestGoldenOutput:
+    """stdout on the mini corpus, byte for byte, as recorded in tests/data."""
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("golden_enhance_first.jsonl", ["enhance", "--mode", "first"]),
+            ("golden_enhance_best_deny.jsonl",
+             ["enhance", "--mode", "best", "--deny", PKG_DATA_DIR / "deny_sample.txt"]),
+            ("golden_pipeline.jsonl", ["pipeline", "--kind", "lyrics"]),
+        ],
+    )
+    def test_stdout_matches_golden(self, capsys, golden, argv):
+        command, *flags = argv
+        code, out, err = run_cli(
+            capsys, command, MINI, "--corpus", MINI, "--lexicon", LEXICON, *flags
+        )
+        assert code == 0 and err == ""
+        assert out == (DATA_DIR / golden).read_text(encoding="utf-8")
+
+
 class TestRerankCommand:
     def test_best_hypothesis_emitted(self, capsys, tmp_path):
         hyps = tmp_path / "hyps.jsonl"
@@ -382,6 +404,8 @@ class TestRetrieveCommand:
             ("vectors.txt", 2, "d1 1:-0.5", "non-negative"),
             ("vectors.txt", 1, "d0 0:1e308 1:1e308", "at most 1"),
             ("vectors.txt", 2, "d1 1:1.0000000000000002", "at most 1"),
+            ("vectors.txt", 1, "d0 0:1 1:1", "norm above 1"),
+            ("vectors.txt", 2, "d1 0:0.8 1:0.6000001", "norm above 1"),
             ("vectors.txt", 1, "d0 0=0.5", "not enough values"),
             ("vectors.txt", 1, "d0 0:x", "could not convert"),
         ],
@@ -400,6 +424,25 @@ class TestRetrieveCommand:
         error = json.loads(err)["error"]
         assert error.startswith(f"{idx_dir / file}:{lineno}: ")
         assert problem in error
+
+    def test_norm_above_one_is_rejected(self, capsys, tmp_path):
+        idx_dir = tmp_path / "idx"
+        idx_dir.mkdir()
+        (idx_dir / "vocabulary.tsv").write_text("cat\t0\t1\ndog\t1\t1\neel\t2\t1\n")
+        query = tmp_path / "query.txt"
+        query.write_text("cat dog eel\n")
+        argv = ("retrieve", "--query", query, "--index-dir", idx_dir)
+        (idx_dir / "vectors.txt").write_text("d0 0:1 1:1 2:1\nd1\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"{idx_dir / 'vectors.txt'}:1: vector norm above 1"}
+        # a unit vector whose squared norm rounds above 1 still loads
+        w = 1 / math.sqrt(3)
+        assert w * w * 3 > 1
+        (idx_dir / "vectors.txt").write_text(f"d0 0:{w!r} 1:{w!r} 2:{w!r}\nd1\n")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["similarity"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "rows, lineno, problem",

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verseforge.corpus import Verse, tokenize
 from verseforge.enhance import (
@@ -19,6 +19,7 @@ from verseforge.enhance import (
     replaced_positions,
 )
 from verseforge.metrics import rhyme_length
+from verseforge.phonetics import Lexicon, Pronunciation
 
 from conftest import MIXED_TOKENS, TOY_WORDS, random_verse
 
@@ -33,6 +34,16 @@ class FixedPredictor:
 
     def predict(self, query: PredictorQuery) -> CandidateList:
         return CandidateList(self._list[: query.k])
+
+
+class SharedPredictor:
+    """Returns the same list object for every query, as CorpusPredictor does."""
+
+    def __init__(self, tokens):
+        self.list = FixedPredictor(tokens).predict(PredictorQuery(("<mask>",), 0, k=1000))
+
+    def predict(self, query: PredictorQuery) -> CandidateList:
+        return self.list
 
 
 class FailingPredictor:
@@ -235,12 +246,93 @@ class TestGetRhymingReplacement:
         expected = eager_replacement(verse, 0, 1, predictor.predict(query), cfg, toy_lex)
         assert get_rhyming_replacement(verse, 0, 1, query, predictor, cfg, toy_lex) == expected
 
+    @settings(max_examples=300)
+    @given(
+        tokens=st.lists(st.sampled_from(MIXED_TOKENS), max_size=12),
+        src=st.sampled_from(MIXED_TOKENS),
+        tgt=st.sampled_from(MIXED_TOKENS),
+        deny=st.frozensets(st.sampled_from(TOY_WORDS), max_size=6),
+        cfg_k=st.integers(min_value=1, max_value=15),
+        mode=st.sampled_from(MODES),
+    )
+    # "bat" and "Bat" equal the anchor (after lowercasing) and score 0;
+    # "cat" would improve but lies beyond cfg.k
+    @example(tokens=["bat", "hmm", "Bat", "cat"], src="bat", tgt="day", deny=frozenset(),
+             cfg_k=3, mode="first_improvement")
+    # the only improving candidate ends on the anchor's vowel but starts on another
+    @example(tokens=["gold", "hurricane"], src="rain", tgt="gold", deny=frozenset(),
+             cfg_k=5, mode="first_improvement")
+    # a vowel-less anchor: no candidate can rhyme
+    @example(tokens=["day", "brr"], src="hmm", tgt="brr", deny=frozenset(),
+             cfg_k=5, mode="best_of_k")
+    def test_reused_list_matches_eager_reference(self, toy_lex, tokens, src, tgt, deny, cfg_k, mode):
+        # The first call scans lazily, the second builds the vowel index
+        # and the third reads it; all three must agree with the reference.
+        verse = Verse([["we", "ride", src], ["they", "fall", tgt]])
+        predictor = SharedPredictor(tokens)
+        cfg = EnhanceConfig(k=cfg_k, mode=mode, deny_list=deny)
+        query = mask_text(verse, 1)
+        expected = eager_replacement(verse, 0, 1, predictor.list, cfg, toy_lex)
+        for _ in range(3):
+            assert get_rhyming_replacement(verse, 0, 1, query, predictor, cfg, toy_lex) == expected
+
     def test_predictor_failure_wrapped(self, example_verse, sample_lex):
         query = mask_text(example_verse, 1)
         with pytest.raises(PredictorError, match="mask_index"):
             get_rhyming_replacement(
                 example_verse, 0, 1, query, FailingPredictor(), EnhanceConfig(), sample_lex
             )
+
+
+class TestVowelIndex:
+    @staticmethod
+    def replace(predictor, lex, cfg=EnhanceConfig()):
+        verse = Verse([["we", "ride", "day"], ["they", "fall", "gold"]])
+        return get_rhyming_replacement(verse, 0, 1, mask_text(verse, 1), predictor, cfg, lex)
+
+    @staticmethod
+    def indexes(raw):
+        return {key: entry for key, entry in raw._index_memo.items() if entry is not None}
+
+    def test_memo_changes_no_equality_hash_or_repr(self, toy_lex):
+        predictor = SharedPredictor(["free", "play", "gold"])
+        fresh = CandidateList(predictor.list.candidates)
+        for _ in range(2):
+            self.replace(predictor, toy_lex)
+        assert self.indexes(predictor.list)
+        assert predictor.list == fresh
+        assert hash(predictor.list) == hash(fresh)
+        assert repr(predictor.list) == repr(fresh)
+        assert "memo" not in repr(predictor.list)
+
+    def test_list_used_once_holds_no_index(self, toy_lex):
+        predictor = SharedPredictor(["free", "play", "gold"])
+        assert self.replace(predictor, toy_lex) == ("play", 1)
+        assert not self.indexes(predictor.list)
+        assert self.replace(predictor, toy_lex) == ("play", 1)
+        (lex, index), = self.indexes(predictor.list).values()
+        assert lex is toy_lex
+        assert [tok for tok, _ in index["EY"]] == ["play"]
+
+    def test_second_lexicon_or_deny_list_gets_its_own_index(self, toy_lex):
+        # In lex_b "day" ends on IY, so "free" rhymes with it, not "play".
+        lex_b = Lexicon({
+            "day": Pronunciation(("D", "IY")),
+            "free": Pronunciation(("F", "R", "IY")),
+            "play": Pronunciation(("P", "L", "EY")),
+        })
+        predictor = SharedPredictor(["free", "play", "gold"])
+        for _ in range(2):
+            assert self.replace(predictor, toy_lex) == ("play", 1)
+        for _ in range(2):
+            assert self.replace(predictor, lex_b) == ("free", 1)
+        (entry,) = self.indexes(predictor.list).values()
+        assert entry[0] is lex_b
+        deny = EnhanceConfig(deny_list=frozenset({"free"}))
+        for _ in range(2):
+            assert self.replace(predictor, lex_b, deny) == ("gold", 0)
+        assert set(self.indexes(predictor.list)) == {(200, frozenset()), (200, deny.deny_list)}
+        assert self.replace(predictor, toy_lex) == ("play", 1)
 
 
 class TestEnhanceVerse:

@@ -369,6 +369,23 @@ class TestPersistence:
             if not any(ch.isspace() or ch == "%" for ch in term):
                 assert lines[dim] == f"{term}\t{dim}\t{index.df[term]}"
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from(TERMS + ["the"]), max_size=40), min_size=1, max_size=12
+        ),
+        min_df=st.integers(1, 3),
+    )
+    def test_every_built_index_round_trips(self, docs, min_df):
+        # Each saved vector passes load_index's checks, its norm one included.
+        index = build_index(docs, min_df=min_df, stopwords=STOP)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, tmp)
+            loaded = load_index(tmp)
+        assert loaded.vocabulary == index.vocabulary
+        assert loaded.df == index.df
+        assert loaded.vectors == index.vectors
+
     def test_embedding_index_not_persistable(self, tmp_path):
         vectors = {"cat": [1.0, 0.0], "dog": [0.0, 1.0]}
         index = build_vector_index([make_doc("cat dog", "d0")], vectors, stopwords=NO_STOP)

@@ -196,6 +196,19 @@ class TestSynonymLexiconLoad:
         assert lex.get("emspace") == ("giant",)
         assert lex.get("spaced") == ()
 
+    def test_head_word_with_whitespace_dropped(self, tmp_path):
+        # No token holds whitespace, so such a head word could never match.
+        path = tmp_path / "syn.tsv"
+        path.write_text(
+            "big deal\tlarge\n"
+            "tab\tbed\tlarge\n"
+            "no\u00a0break\tlarge\n"
+            "em\u2003space\tlarge\n"
+            " padded \tlarge\n",
+            encoding="utf-8",
+        )
+        assert SynonymLexicon.load(path).entries == {"padded": ("large",)}
+
     def test_bundled_sample_loads(self):
         lex = SynonymLexicon.load(DATA_DIR.parent.parent / "src/verseforge/data/synonyms_sample.tsv")
         assert lex.get("money") == ("cash", "dough")
