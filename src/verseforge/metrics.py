@@ -54,12 +54,18 @@ def rhyme_length(w1: str, w2: str, lex: Lexicon) -> int:
     """
     if not w1 or not w2:
         raise ValueError("rhyme_length requires non-empty tokens")
+    return rhyme_length_vowels(w1, lex.vowels(w1), w2, lex.vowels(w2))
+
+
+def rhyme_length_vowels(
+    w1: str, v1: tuple[str, ...], w2: str, v2: tuple[str, ...]
+) -> int:
+    """:func:`rhyme_length` of two tokens whose vowels ``v1``, ``v2`` are known."""
     if w1 == w2:
         return 0
-    v1 = lex.vowels(w1)
-    v2 = lex.vowels(w2)
+    n = min(len(v1), len(v2))
     k = 0
-    while k < len(v1) and k < len(v2) and v1[-1 - k] == v2[-1 - k]:
+    while k < n and v1[-1 - k] == v2[-1 - k]:
         k += 1
     return k
 

@@ -14,6 +14,7 @@ from verseforge.metrics import (
     repetition_score,
     rhyme_density,
     rhyme_length,
+    rhyme_length_vowels,
     unigram_overlap,
 )
 from verseforge.phonetics import Lexicon, transcribe, vowel_sequence
@@ -82,6 +83,19 @@ class TestRhymeLength:
                 v1 = len(vowel_sequence([w1], toy_lex).vowels)
                 v2 = len(vowel_sequence([w2], toy_lex).vowels)
                 assert rl <= min(v1, v2)
+
+    def test_known_vowels_score_by_the_same_rule(self, toy_lex):
+        # Longest common vowel suffix by slicing, and 0 for identical tokens.
+        for w1 in TOY_WORDS + ["Bat"]:
+            for w2 in TOY_WORDS:
+                v1 = transcribe(w1, toy_lex).vowels()
+                v2 = transcribe(w2, toy_lex).vowels()
+                n = min(len(v1), len(v2))
+                expected = 0 if w1 == w2 else max(
+                    k for k in range(n + 1) if k == 0 or v1[-k:] == v2[-k:]
+                )
+                assert rhyme_length_vowels(w1, v1, w2, v2) == expected
+                assert rhyme_length(w1, w2, toy_lex) == expected
 
 
 class TestRhymeDensity:
