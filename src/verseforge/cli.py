@@ -15,6 +15,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from statistics import mean, pstdev
+from urllib.parse import urlsplit
 
 from . import corpus as corpus_mod
 from .corpus import KINDS, Document, Verse, join_lines, load_corpus, load_document
@@ -166,9 +167,9 @@ def load_config(
             enhance=EnhanceConfig(**enhance_kwargs),
             **merged,
         )
+        validate_config(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    validate_config(cfg)
     return cfg
 
 
@@ -179,6 +180,10 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError(f"unknown predictor {cfg.predictor!r}")
     if cfg.predictor == "remote" and not cfg.endpoint:
         raise ConfigError("predictor 'remote' requires an endpoint")
+    if cfg.predictor == "remote":
+        url = urlsplit(cfg.endpoint)  # ValueError on, e.g., an unclosed "[" IPv6 literal
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"endpoint must be an http(s) URL with a host, got {cfg.endpoint!r}")
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.name.endswith("_path") and value is not None and not Path(value).exists():

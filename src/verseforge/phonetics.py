@@ -31,19 +31,13 @@ class LexiconFormatError(ValueError):
     """A lexicon line that cannot be parsed, reported with its line number."""
 
 
-@dataclass(frozen=True)
-class Pronunciation:
-    """Phoneme symbols for one word, stress digits stripped."""
-
-    phonemes: tuple[str, ...]
-
-    def vowels(self) -> tuple[str, ...]:
-        return tuple(p for p in self.phonemes if is_vowel(p))
+# Phoneme symbols for one word, stress digits stripped.
+Pronunciation = tuple[str, ...]
 
 
 @dataclass
 class Lexicon:
-    """Word to primary pronunciation map (first listed variant wins).
+    """Word to phoneme tuple map (first listed variant wins).
 
     :meth:`vowels` memoises each word's vowel projection on its first
     lookup, so ``entries`` must not be mutated after that: a later edit
@@ -64,10 +58,10 @@ class Lexicon:
         return self.entries.get(word.lower())
 
     def vowels(self, word: str) -> tuple[str, ...]:
-        """``transcribe(word, self).vowels()``, computed once per word."""
+        """The vowel symbols of ``transcribe(word, self)``, computed once per word."""
         found = self._vowel_memo.get(word)
         if found is None:
-            found = self._vowel_memo[word] = transcribe(word, self).vowels()
+            found = self._vowel_memo[word] = tuple(filter(is_vowel, transcribe(word, self)))
         return found
 
 
@@ -127,7 +121,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
             # word that ends in ")".
             if word in entries or (word[-1] == ")" and _VARIANT_RE.match(word)):
                 continue
-            entries[word] = Pronunciation(tuple(map(stress_free, parts[1:])))
+            entries[word] = tuple(map(stress_free, parts[1:]))
     return Lexicon(entries=entries, source=str(path))
 
 
@@ -150,11 +144,11 @@ def fallback_pronunciation(word: str) -> Pronunciation:
                 run = []
     if run:
         symbols.append(FALLBACK_PREFIX + "".join(run))
-    return Pronunciation(tuple(symbols))
+    return tuple(symbols)
 
 
 def transcribe(word: str, lex: Lexicon) -> Pronunciation:
-    """Look up ``word`` in the lexicon, falling back to orthography."""
+    """The phoneme tuple of ``word`` from the lexicon, falling back to orthography."""
     if not word:
         raise ValueError("cannot transcribe empty word")
     hit = lex.get(word)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from verseforge.corpus import Verse
-from verseforge.phonetics import Lexicon, load_lexicon
+from verseforge.phonetics import Lexicon, is_vowel, load_lexicon, transcribe
 
 DATA_DIR = Path(__file__).parent / "data"
 PKG_DATA_DIR = Path(__file__).parent.parent / "src" / "verseforge" / "data"
@@ -41,6 +41,11 @@ TOY_WORDS = [line.split()[0].lower() for line in TOY_LEXICON.splitlines()]
 MIXED_TOKENS = TOY_WORDS + [
     "Day", "NIGHT", "Bat", "zorbly", "splay", "yolk", "hmm", "brr", ",", "?", "...", "'s", "x9"
 ]
+
+
+def uncached_vowels(word: str, lex: Lexicon) -> tuple[str, ...]:
+    """Vowel symbols of ``transcribe(word, lex)``, bypassing the lexicon's vowel memo."""
+    return tuple(filter(is_vowel, transcribe(word, lex)))
 
 
 @pytest.fixture(scope="session")

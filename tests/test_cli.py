@@ -69,6 +69,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="endpoint"):
             load_config(path)
 
+    @pytest.mark.parametrize("endpoint", ["localhost:8000", "http://", "ftp://127.0.0.1:8000"])
+    def test_remote_endpoint_must_be_http_url_with_host(self, endpoint):
+        with pytest.raises(ConfigError, match="must be an http"):
+            load_config(None, {"predictor": "remote", "endpoint": endpoint})
+
+    def test_unparsable_remote_endpoint_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="IPv6"):
+            load_config(None, {"predictor": "remote", "endpoint": "http://[::1"})
+
     def test_missing_path_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"lexicon_path": "/nonexistent/lex.dict"}')

@@ -17,9 +17,9 @@ from verseforge.metrics import (
     rhyme_length_vowels,
     unigram_overlap,
 )
-from verseforge.phonetics import Lexicon, transcribe, vowel_sequence
+from verseforge.phonetics import Lexicon, vowel_sequence
 
-from conftest import MIXED_TOKENS, TOY_WORDS, random_verse
+from conftest import MIXED_TOKENS, TOY_WORDS, random_verse, uncached_vowels
 
 
 def brute_force_lengths(tokens, lex, window=15, exclude_identical=True):
@@ -31,7 +31,7 @@ def brute_force_lengths(tokens, lex, window=15, exclude_identical=True):
     """
     vowels, marks = [], []
     for tok in tokens:
-        vowels.extend(transcribe(tok, lex).vowels())
+        vowels.extend(uncached_vowels(tok, lex))
         marks.append(len(vowels))
     out = []
     for i, tok in enumerate(tokens):
@@ -88,8 +88,8 @@ class TestRhymeLength:
         # Longest common vowel suffix by slicing, and 0 for identical tokens.
         for w1 in TOY_WORDS + ["Bat"]:
             for w2 in TOY_WORDS:
-                v1 = transcribe(w1, toy_lex).vowels()
-                v2 = transcribe(w2, toy_lex).vowels()
+                v1 = uncached_vowels(w1, toy_lex)
+                v2 = uncached_vowels(w2, toy_lex)
                 n = min(len(v1), len(v2))
                 expected = 0 if w1 == w2 else max(
                     k for k in range(n + 1) if k == 0 or v1[-k:] == v2[-k:]

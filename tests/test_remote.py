@@ -61,7 +61,9 @@ class StubServer:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def endpoint(self) -> str:
@@ -244,7 +246,9 @@ def predictor_server():
     script = _load_predictor_server()
     predictor = script.build_corpus_predictor([Verse([["day", "way"], ["play", "day"]])])
     server = ThreadingHTTPServer(("127.0.0.1", 0), script.make_handler(predictor))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield server.server_address
