@@ -111,11 +111,6 @@ def tokenize(text: str) -> list[Line]:
     return lines
 
 
-def detokenize(lines: list[Line]) -> str:
-    """Join token lines back into newline-separated, space-joined text."""
-    return "\n".join(" ".join(line) for line in lines)
-
-
 def join_lines(lines: Iterable[Iterable[str]]) -> str:
     """Flatten token lines into one space-joined string with NL_TOKEN breaks."""
     flat: list[str] = []
@@ -129,19 +124,10 @@ def join_lines(lines: Iterable[Iterable[str]]) -> str:
 def split_flat(text: str) -> list[Line]:
     """Parse a NL_TOKEN-separated flat string back into tokenized lines.
 
-    Empty segments are preserved as empty lines so round trips keep line
-    structure; segments are re-tokenized.
+    NL_TOKEN breaks a line as a newline does; lines with no tokens are
+    dropped, as in :func:`tokenize`.
     """
-    if not text:
-        return []
-    lines: list[Line] = []
-    for segment in text.split(NL_TOKEN):
-        tokenized = tokenize(segment)
-        if tokenized:
-            lines.extend(tokenized)
-        else:
-            lines.append([])
-    return lines
+    return tokenize(text.replace(NL_TOKEN, "\n"))
 
 
 def is_punctuation(token: str) -> bool:

@@ -46,11 +46,12 @@ def load_hypotheses(path: str | Path) -> list[Hypothesis]:
 
     Ranks must be unique within a batch; they are the deterministic
     tie-breaker during reranking. A malformed record raises ValueError
-    naming the file and line.
+    naming the file and line. A record ends at a newline only: JSON allows
+    U+2028, U+2029 and U+0085 raw inside a string.
     """
     hyps = []
     seen: set[int] = set()
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
@@ -79,8 +80,7 @@ def hypothesis_from_record(record: dict) -> Hypothesis:
         raise ValueError(f"rank must be an integer, got {rank!r}")
     if not isinstance(text, str):
         raise ValueError(f"text must be a string, got {type(text).__name__}")
-    lines = [line for line in split_flat(text) if line]
-    return Hypothesis(verse=Verse(lines), generator_rank=rank)
+    return Hypothesis(verse=Verse(split_flat(text)), generator_rank=rank)
 
 
 def rerank(

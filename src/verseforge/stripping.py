@@ -73,7 +73,8 @@ class SynonymLexicon:
         Synonyms that contain whitespace of any kind (multi-word phrases) and
         self-synonyms are dropped; words left with no usable synonym, and
         head words that contain whitespace (no token can match them), are
-        omitted.
+        omitted. A line whose synonym field holds a second tab is malformed
+        and dropped whole.
         """
         entries: dict[str, tuple[str, ...]] = {}
         for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -81,6 +82,8 @@ class SynonymLexicon:
             if not line or line.startswith("#"):
                 continue
             word, _, tail = line.partition("\t")
+            if "\t" in tail.strip():
+                continue
             word = word.strip().lower()
             syns = tuple(
                 s for s in (p.strip().lower() for p in tail.split(","))

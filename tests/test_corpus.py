@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from verseforge.corpus import (
+    NL_TOKEN,
     PUNCT_CHARS,
     Document,
     EmptyCorpusError,
     corpus_stats,
-    detokenize,
     filter_by_length,
     is_number,
     is_punctuation,
@@ -18,6 +18,7 @@ from verseforge.corpus import (
     split_verses,
     tokenize,
 )
+from verseforge.selection import hypothesis_from_record
 
 from conftest import DATA_DIR
 
@@ -41,6 +42,17 @@ def reference_tokenize(text: str) -> list[list[str]]:
             tokens.extend(head + ([chunk] if chunk else []) + tail[::-1])
         if tokens:
             lines.append(tokens)
+    return lines
+
+
+def reference_split_flat(text: str) -> list[list[str]]:
+    """Reference: tokenize each NL_TOKEN segment on its own; a segment with
+    no tokens becomes one empty line."""
+    if not text:
+        return []
+    lines = []
+    for segment in text.split(NL_TOKEN):
+        lines.extend(tokenize(segment) or [[]])
     return lines
 
 
@@ -87,7 +99,7 @@ class TestTokenize:
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=200))
     def test_retokenization_stable(self, text):
         once = tokenize(text)
-        assert tokenize(detokenize(once)) == once
+        assert tokenize("\n".join(" ".join(line) for line in once)) == once
 
 
 def test_is_number():
@@ -215,10 +227,27 @@ class TestFlatSerialization:
         assert split_flat(join_lines(lines)) == lines
 
     def test_empty_lines_preserved(self):
-        lines = [[], [], [], []]
-        assert join_lines(lines) == "<nl> <nl> <nl>"
-        assert split_flat(join_lines(lines)) == lines
+        # The writer keeps empty lines; the reader drops them, as tokenize does.
+        assert join_lines([[]] * 4) == "<nl> <nl> <nl>"
+        assert split_flat("<nl> <nl> <nl>") == []
 
     def test_empty(self):
         assert join_lines([]) == ""
         assert split_flat("") == []
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ["<nl>", "<NL>", "<n", "l>", "\r", "\r\n", "\x85", "\u2028",
+                     "\u2029", "Σ", "ς", "İ", "'", " ", "a"]
+                ),
+                st.text(max_size=3),
+            ),
+            max_size=20,
+        ).map("".join)
+    )
+    def test_matches_segment_reader(self, text):
+        expected = [line for line in reference_split_flat(text) if line]
+        assert split_flat(text) == expected
+        assert hypothesis_from_record({"rank": 0, "text": text}).verse.lines == expected

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tempfile
@@ -123,6 +124,29 @@ class TestHypothesisIO:
         )
         hyps = load_hypotheses(path)
         assert [h.generator_rank for h in hyps] == [0, 1]
+
+    def test_record_ends_at_newline_only(self, tmp_path):
+        # JSON allows U+2028, U+2029 and U+0085 raw inside a string.
+        path = tmp_path / "hyps.jsonl"
+        record = {"rank": 0, "text": "a\u2028b <nl> c\u2029d\x85e"}
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        (hyp,) = load_hypotheses(path)
+        assert hyp.verse.lines == [["a"], ["b"], ["c"], ["d"], ["e"]]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_files_load(self, tmp_path, newline):
+        path = tmp_path / "hyps.jsonl"
+        path.write_bytes(
+            newline.join(['{"rank": 0, "text": "a b"}', "", '{"rank": 1, "text": "c"}', ""])
+            .encode()
+        )
+        assert [h.generator_rank for h in load_hypotheses(path)] == [0, 1]
+
+    def test_bad_record_names_its_line(self, tmp_path):
+        path = tmp_path / "hyps.jsonl"
+        path.write_bytes(b'{"rank": 0, "text": "a"}\r\n\r\n{"rank": 1\r\n')
+        with pytest.raises(ValueError, match=r"hyps\.jsonl:3: "):
+            load_hypotheses(path)
 
     def test_duplicate_ranks_rejected(self, tmp_path):
         path = tmp_path / "hyps.jsonl"

@@ -183,15 +183,21 @@ class TestSynonymLexiconLoad:
             "tabbed\ttwo\twords,lone\n"
             "nbsp\tlarge\u00a0size,vast\n"
             "emspace\thuge\u2003thing,giant\n"
-            "spaced\tlarge\u00a0size,huge\u2003thing\n",
+            "spaced\tlarge\u00a0size,huge\u2003thing\n"
+            "big\tdeal\tlarge,vast\n"
+            "wide\t\tbroad\n",
             encoding="utf-8",
         )
         lex = SynonymLexicon.load(path)
+        # The later "big<TAB>deal<TAB>..." line is dropped, so it adds nothing.
         assert lex.get("big") == ("large", "huge")
         assert lex.get("odd") == ()  # only self-synonym: dropped
         assert lex.get("phrase") == ("single",)  # multi-word skipped
-        # Any whitespace inside a synonym makes it multi-word.
-        assert lex.get("tabbed") == ("lone",)
+        # A second tab in the synonym field makes the whole line malformed.
+        assert lex.get("tabbed") == ()
+        # A doubled separator is still one separator.
+        assert lex.get("wide") == ("broad",)
+        # Any other whitespace inside a synonym makes it multi-word.
         assert lex.get("nbsp") == ("vast",)
         assert lex.get("emspace") == ("giant",)
         assert lex.get("spaced") == ()
