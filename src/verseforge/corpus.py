@@ -21,11 +21,17 @@ PUNCT_CHARS = '.,!?;:"()[]'
 # One token: a single punctuation character, or a run of non-whitespace
 # that neither starts nor ends with punctuation. Over a whitespace-delimited
 # chunk this yields the leading punctuation one by one, the core, then the
-# trailing punctuation one by one. ``\s`` and ``str.split`` agree on what
-# whitespace is.
+# trailing punctuation one by one. On a line without punctuation it yields
+# the maximal non-whitespace runs, which is what ``str.split()`` returns:
+# ``\s`` and ``str.split`` agree on what whitespace is.
 _TOKEN_RE = re.compile(
     r"[{p}]|[^\s{p}](?:\S*[^\s{p}])?".format(p=re.escape(PUNCT_CHARS))
 )
+_has_punct = re.compile("[{p}]".format(p=re.escape(PUNCT_CHARS))).search
+
+# Finds an alphanumeric character of a token: ``\w`` is exactly
+# ``str.isalnum`` plus "_". A token it finds nothing in is punctuation.
+find_alnum = re.compile(r"[^\W_]").search
 
 # Tokens made solely of digits, optionally with internal commas/periods
 # ("4", "1,000", "3.14"). "mid-30s" is not a number.
@@ -105,7 +111,9 @@ def tokenize(text: str) -> list[Line]:
     """
     lines: list[Line] = []
     for raw_line in text.lower().splitlines():
-        tokens: Line = _TOKEN_RE.findall(raw_line)
+        tokens: Line = (
+            _TOKEN_RE.findall(raw_line) if _has_punct(raw_line) else raw_line.split()
+        )
         if tokens:
             lines.append(tokens)
     return lines
@@ -131,8 +139,8 @@ def split_flat(text: str) -> list[Line]:
 
 
 def is_punctuation(token: str) -> bool:
-    """True for tokens with no alphanumeric content ("?", "...")."""
-    return not any(map(str.isalnum, token))
+    """True for tokens with no alphanumeric content ("?", "...", "_")."""
+    return find_alnum(token) is None
 
 
 def is_number(token: str) -> bool:
@@ -210,7 +218,8 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
 
     Directories yield one document per ``*.txt`` file (sorted by name).
     A lyrics file is a single song; a prose file holds one document per
-    line.
+    line, and a line ends at a newline only: U+2028, U+0085 or a form
+    feed inside it stays in its document.
     """
     path = Path(path)
     if path.is_dir():
@@ -218,7 +227,7 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
     if kind == "lyrics":
         return [load_document(path, kind)]
     docs = []
-    for i, raw_line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    for i, raw_line in enumerate(path.read_text(encoding="utf-8").split("\n")):
         if not raw_line.strip():
             continue
         docs.append(

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse
 
-from .corpus import Verse, is_punctuation
+from .corpus import Verse, find_alnum
 from .phonetics import Lexicon, vowel_sequence
 
 
@@ -130,19 +131,15 @@ def rhyme_density(verse: Verse, lex: Lexicon, cfg: RhymeConfig | None = None) ->
     return sum(lengths) / len(lengths)
 
 
-def _content_set(tokens: list[str]) -> set[str]:
-    return {t for t in tokens if not is_punctuation(t)}
-
-
 def unigram_overlap(x: list[str], y: list[str]) -> float:
     """Fraction of y's unique unigrams that appear in x.
 
     Punctuation tokens are ignored on both sides; an empty y yields 0.
     """
-    uy = _content_set(y)
+    uy = set(filter(find_alnum, y))
     if not uy:
         return 0.0
-    return len(uy & _content_set(x)) / len(uy)
+    return len(uy & set(filter(find_alnum, x))) / len(uy)
 
 
 def repetition_score(verse: Verse) -> float:
@@ -156,15 +153,17 @@ def repetition_score(verse: Verse) -> float:
         return 0.0
     # A word of line i occurs in another line exactly when more than one
     # line contains it, so one count over all lines replaces rebuilding
-    # "the rest of the verse" for every line.
-    sets = [_content_set(line) for line in verse.lines]
-    lines_with: Counter[str] = Counter()
-    for words in sets:
-        lines_with.update(words)
+    # "the rest of the verse" for every line. Punctuation is decided once
+    # per distinct token of the verse, then removed from every line.
+    sets = [set(line) for line in verse.lines]
+    lines_with = Counter(chain.from_iterable(sets))
+    punct = set(filterfalse(find_alnum, lines_with))
+    shared = {w for w, count in lines_with.items() if count > 1}
     total = 0.0
     for words in sets:
+        words -= punct
         if words:
-            total += sum(lines_with[w] > 1 for w in words) / len(words)
+            total += len(words & shared) / len(words)
     return total / n
 
 

@@ -305,22 +305,26 @@ class TestEnhanceCommand:
 
 
 class TestGoldenOutput:
-    """stdout on the mini corpus, byte for byte, as recorded in tests/data."""
+    """stdout on the mini corpus and a punctuated hypothesis batch, byte for
+    byte, as recorded in tests/data."""
 
     @pytest.mark.parametrize(
         "golden, argv",
         [
-            ("golden_enhance_first.jsonl", ["enhance", "--mode", "first"]),
+            ("golden_enhance_first.jsonl",
+             ["enhance", MINI, "--corpus", MINI, "--mode", "first"]),
             ("golden_enhance_best_deny.jsonl",
-             ["enhance", "--mode", "best", "--deny", PKG_DATA_DIR / "deny_sample.txt"]),
-            ("golden_pipeline.jsonl", ["pipeline", "--kind", "lyrics"]),
+             ["enhance", MINI, "--corpus", MINI, "--mode", "best",
+              "--deny", PKG_DATA_DIR / "deny_sample.txt"]),
+            ("golden_pipeline.jsonl", ["pipeline", MINI, "--corpus", MINI, "--kind", "lyrics"]),
+            ("golden_analyze.jsonl", ["analyze", MINI]),
+            # Its lines mix PUNCT_CHARS, "...", "can't", "u.s.", "—", "_" and "٣".
+            ("golden_rerank_punct.jsonl",
+             ["rerank", "--hypotheses", DATA_DIR / "rerank_punct.jsonl"]),
         ],
     )
     def test_stdout_matches_golden(self, capsys, golden, argv):
-        command, *flags = argv
-        code, out, err = run_cli(
-            capsys, command, MINI, "--corpus", MINI, "--lexicon", LEXICON, *flags
-        )
+        code, out, err = run_cli(capsys, *argv, "--lexicon", LEXICON)
         assert code == 0 and err == ""
         assert out == (DATA_DIR / golden).read_text(encoding="utf-8")
 

@@ -1,15 +1,18 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from verseforge.corpus import (
+    _TOKEN_RE,
     NL_TOKEN,
     PUNCT_CHARS,
     Document,
     EmptyCorpusError,
     corpus_stats,
     filter_by_length,
+    find_alnum,
     is_number,
     is_punctuation,
     join_lines,
@@ -22,8 +25,13 @@ from verseforge.selection import hypothesis_from_record
 
 from conftest import DATA_DIR
 
+# Every code point, in order. The tokenizer's fast path and the punctuation
+# rule rest on regex classes agreeing with str methods over all of them, per
+# the interpreter's Unicode database.
+ALL_CHARS = "".join(map(chr, range(0x110000)))
+
 # Every character str.isspace accepts: str.split and the regex \s must agree.
-WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+WHITESPACE = list(filter(str.isspace, ALL_CHARS))
 
 
 def reference_tokenize(text: str) -> list[list[str]]:
@@ -96,6 +104,23 @@ class TestTokenize:
     def test_matches_reference(self, text):
         assert tokenize(text) == reference_tokenize(text)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    list(PUNCT_CHARS)
+                    + ["<nl>", "\x85", "\u2028", "\u3000", "\x1c", "_", "—", "٣", " ", "\n", "a"]
+                ),
+                st.text(max_size=3),
+            ),
+            max_size=20,
+        ).map("".join)
+    )
+    def test_matches_regex_on_every_line(self, text):
+        # Lines without punctuation skip the regex; the result must not show it.
+        expected = [line for line in map(_TOKEN_RE.findall, text.lower().splitlines()) if line]
+        assert tokenize(text) == expected
+
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=200))
     def test_retokenization_stable(self, text):
         once = tokenize(text)
@@ -110,6 +135,26 @@ def test_is_number():
 def test_is_punctuation():
     assert is_punctuation("?") and is_punctuation("...") and is_punctuation("-")
     assert not is_punctuation("can't") and not is_punctuation("4")
+
+
+class TestUnicodeRules:
+    """Regex classes against str methods over every code point; whole joined
+    strings are compared so the check stays fast."""
+
+    def test_alnum_class_is_isalnum(self):
+        # find_alnum is [^\W_]: is_punctuation(t) is not any(map(str.isalnum, t)).
+        assert "".join(filter(find_alnum, ALL_CHARS)) == "".join(
+            filter(str.isalnum, ALL_CHARS)
+        )
+
+    def test_whitespace_class_is_isspace(self):
+        assert re.findall(r"\s", ALL_CHARS) == WHITESPACE
+
+    def test_whitespace_class_is_what_str_split_splits_on(self):
+        # Each code point stands alone between two "x"s, so a piece boundary
+        # falls exactly where a code point is a separator.
+        spaced = "x".join(ALL_CHARS)
+        assert spaced.split() == re.split(r"\s", spaced)
 
 
 class TestSplitVerses:
@@ -219,6 +264,23 @@ class TestLoaders:
         docs = load_corpus(path, "news")
         assert [d.id for d in docs] == ["news:0", "news:2"]
         assert docs[0].lines == [["first", "summary", "here"]]
+
+    def test_prose_line_ends_at_newline_only(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text(
+            "first story here\u2028still the first story\nsecond story\n", encoding="utf-8"
+        )
+        docs = load_corpus(path, "news")
+        assert [d.id for d in docs] == ["f:0", "f:1"]
+        assert docs[0].raw == "first story here\u2028still the first story"
+        assert docs[0].lines == [["first", "story", "here"], ["still", "the", "first", "story"]]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_prose_crlf_and_cr_files_load(self, tmp_path, newline):
+        path = tmp_path / "f.txt"
+        path.write_bytes(newline.join(["a b", "", "c\x0cd", ""]).encode("utf-8"))
+        docs = load_corpus(path, "news")
+        assert [(d.id, d.lines) for d in docs] == [("f:0", [["a", "b"]]), ("f:2", [["c"], ["d"]])]
 
 
 class TestFlatSerialization:

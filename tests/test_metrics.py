@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -201,6 +202,28 @@ def repetition_reference(verse):
     return total / n
 
 
+def counting_repetition_reference(verse):
+    """The per-token counting version: punctuation is decided token by
+    token with ``str.isalnum``, and shared words are counted line by line."""
+    n = len(verse.lines)
+    if n < 2:
+        return 0.0
+    sets = [{t for t in line if any(map(str.isalnum, t))} for line in verse.lines]
+    lines_with = Counter()
+    for words in sets:
+        lines_with.update(words)
+    total = 0.0
+    for words in sets:
+        if words:
+            total += sum(lines_with[w] > 1 for w in words) / len(words)
+    return total / n
+
+
+# Repeated words, punctuation-only tokens ("_" and "—" included) and tokens
+# that hold a non-ASCII digit or letter.
+REPETITION_TOKENS = MIXED_TOKENS + ["_", "__", "—", "!?", "...", "٣", "a_b", "u.s", "ß"]
+
+
 class TestRepetitionScore:
     def test_identical_lines(self):
         assert repetition_score(Verse([["a", "b"], ["a", "b"]])) == 1.0
@@ -225,6 +248,19 @@ class TestRepetitionScore:
     def test_property_equals_quadratic_reference(self, lines):
         verse = Verse(lines)
         assert repetition_score(verse) == repetition_reference(verse)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(REPETITION_TOKENS), st.text(min_size=1, max_size=3)),
+                max_size=8,
+            ),
+            max_size=8,
+        )
+    )
+    def test_property_equals_counting_reference(self, lines):
+        verse = Verse(lines)
+        assert repetition_score(verse) == counting_repetition_reference(verse)
 
 
 def test_scored_verse_invariant():
