@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from verseforge.cli import (
     ConfigError,
     PipelineError,
+    PipelineRuntime,
     load_config,
     main,
     run_pipeline,
@@ -130,6 +132,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value).startswith(f"config key {key} has wrong type: ")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"noise": "loud"}, "unknown noise type 'loud'"),
+            ({"predictor": "oracle"}, "unknown predictor 'oracle'"),
+        ],
+    )
+    def test_value_outside_choices_rejected(self, tmp_path, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+
+    def test_corpus_predictor_requires_corpus_path(self):
+        with pytest.raises(ConfigError) as info:
+            PipelineRuntime.from_config(load_config(None))
+        assert str(info.value) == "predictor 'corpus' requires corpus_path"
 
 
 class TestServeReport:
@@ -306,25 +327,33 @@ class TestEnhanceCommand:
 
 class TestGoldenOutput:
     """stdout on the mini corpus and a punctuated hypothesis batch, byte for
-    byte, as recorded in tests/data."""
+    byte, as recorded in tests/data. Each case's argv is complete: corpus
+    split and strip take no lexicon."""
 
     @pytest.mark.parametrize(
         "golden, argv",
         [
             ("golden_enhance_first.jsonl",
-             ["enhance", MINI, "--corpus", MINI, "--mode", "first"]),
+             ["enhance", MINI, "--corpus", MINI, "--mode", "first", "--lexicon", LEXICON]),
             ("golden_enhance_best_deny.jsonl",
              ["enhance", MINI, "--corpus", MINI, "--mode", "best",
-              "--deny", PKG_DATA_DIR / "deny_sample.txt"]),
-            ("golden_pipeline.jsonl", ["pipeline", MINI, "--corpus", MINI, "--kind", "lyrics"]),
-            ("golden_analyze.jsonl", ["analyze", MINI]),
+              "--deny", PKG_DATA_DIR / "deny_sample.txt", "--lexicon", LEXICON]),
+            ("golden_pipeline.jsonl",
+             ["pipeline", MINI, "--corpus", MINI, "--kind", "lyrics", "--lexicon", LEXICON]),
+            ("golden_analyze.jsonl", ["analyze", MINI, "--lexicon", LEXICON]),
             # Its lines mix PUNCT_CHARS, "...", "can't", "u.s.", "—", "_" and "٣".
             ("golden_rerank_punct.jsonl",
-             ["rerank", "--hypotheses", DATA_DIR / "rerank_punct.jsonl"]),
+             ["rerank", "--hypotheses", DATA_DIR / "rerank_punct.jsonl", "--lexicon", LEXICON]),
+            # doc_c's two-line chorus is dropped.
+            ("golden_corpus_split.jsonl", ["corpus", "split", MINI]),
+            ("golden_strip_drop.jsonl", ["strip", MINI, "--noise", "drop", "--seed", "3"]),
+            ("golden_strip_synonym.jsonl",
+             ["strip", MINI, "--noise", "synonym", "--synonym-rate", "0.5", "--seed", "1",
+              "--synonyms", PKG_DATA_DIR / "synonyms_sample.tsv"]),
         ],
     )
     def test_stdout_matches_golden(self, capsys, golden, argv):
-        code, out, err = run_cli(capsys, *argv, "--lexicon", LEXICON)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert out == (DATA_DIR / golden).read_text(encoding="utf-8")
 
@@ -380,6 +409,13 @@ class TestRerankCommand:
 
 
 class TestRetrieveCommand:
+    def test_requires_a_source(self, capsys, tmp_path):
+        query = tmp_path / "query.txt"
+        query.write_text("rain\n")
+        code, out, err = run_cli(capsys, "retrieve", "--query", query)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "retrieve requires --index-dir or --corpus"}
+
     def test_ad_hoc_index_and_persistence(self, capsys, tmp_path):
         query = tmp_path / "query.txt"
         query.write_text("rain on the window pane\n")
@@ -596,6 +632,47 @@ class TestPipeline:
         src.write_text("the flood water rose through the streets of the town\n")
         code, out, _ = run_cli(capsys, "pipeline", src, "--kind", "news")
         assert code == 0 and json.loads(out)["doc"] == "news:0"
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--noise", "drop", "--drop-rate", "2"],
+             "noise: drop_rate must be in [0, 1], got 2.0"),
+            (["--noise", "synonym"], "noise: synonym noise requires a synonym lexicon"),
+        ],
+    )
+    def test_noise_failure_is_a_noise_error(self, capsys, tmp_path, flags, error):
+        src = tmp_path / "news.txt"
+        src.write_text("storm winds rise\n")
+        code, out, err = run_cli(
+            capsys, "pipeline", src, "--kind", "news", "--corpus", MINI, *flags
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": error, "stage": "noise"}
+
+    @pytest.mark.parametrize("exc_type", [ValueError, RuntimeError])
+    def test_predictor_failure_is_an_enhance_error(self, exc_type):
+        class FailingPredictor:
+            def predict(self, query):
+                raise exc_type("predictor down")
+
+        cfg = load_config(None, {"corpus_path": str(MINI), "lexicon_path": str(LEXICON)})
+        runtime = replace(PipelineRuntime.from_config(cfg), predictor=FailingPredictor())
+        raw = "the rain came down on the town\nthe night was long and the day"
+        doc = Document(id="news:0", kind="news", lines=tokenize(raw), raw=raw)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(doc, cfg, runtime=runtime)
+        assert info.value.stage == "enhance"
+        assert str(info.value).endswith(": predictor down")
+
+    def test_hypotheses_require_one_document(self, capsys, tmp_path):
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text('{"rank": 0, "text": "day way"}\n')
+        code, out, err = run_cli(
+            capsys, "pipeline", MINI, "--kind", "lyrics", "--corpus", MINI, "--hypotheses", hyps,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "--hypotheses requires exactly one input document"}
 
 
 class TestErrorReporting:

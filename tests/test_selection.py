@@ -233,6 +233,15 @@ class TestTfIdfIndex:
         with pytest.raises(ValueError):
             build_index([])
 
+    def test_query_as_token_lines(self):
+        # The query shape a caller holding tokenize() output passes.
+        docs = [make_doc("cat dog", "d0"), make_doc("fish dog", "d1"), make_doc("bird", "d2")]
+        index = build_index(docs, stopwords=NO_STOP)
+        lines = [["fish", "dog"], ["cat"]]
+        assert exact(retrieve_indices(index, lines, 3)) == exact(
+            retrieve_indices(index, make_doc("fish dog\ncat", "q"), 3)
+        )
+
     def test_zero_query_vector(self):
         docs = [make_doc("cat dog", "d0"), make_doc("fish", "d1")]
         index = build_index(docs, stopwords=NO_STOP)
@@ -418,6 +427,10 @@ class TestPersistence:
 
 
 class TestVectorIndex:
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="empty corpus"):
+            build_vector_index([], {"cat": [1.0]})
+
     def test_averaging_and_self_similarity(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("cat 1.0 0.0\ndog 0.0 1.0\nfish 1.0 1.0\n")

@@ -233,6 +233,11 @@ class TestNoNoiseIntroducesJunk:
             for tok in out.flat():
                 assert is_content_word(tok, stop), (noise, tok)
 
+    def test_unknown_noise_type_rejected(self):
+        cw = ContentWords.from_lines([["storm", "winds"]], "d")
+        with pytest.raises(ValueError, match="unknown noise type 'loud'"):
+            apply_noise(cw, "loud", NoiseConfig())
+
 
 class TestTrainingPairs:
     def test_empty_content_with_four_line_target(self):
