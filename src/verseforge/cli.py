@@ -42,12 +42,11 @@ from .selection import (
 )
 from .stripping import (
     NOISE_TYPES,
+    ContentWords,
     NoiseConfig,
     SynonymLexicon,
-    apply_noise,
     default_stopwords,
     emit_training_pair,
-    extract_content_words,
     load_stopwords,
     strip_corpus,
 )
@@ -228,6 +227,17 @@ def _predictor(cfg: PipelineConfig, lexicon: Lexicon) -> MaskedPredictor:
     return build_corpus_predictor(_verses(cfg.corpus_path), lexicon)
 
 
+def _strip(
+    cfg: PipelineConfig,
+    docs: list[Document],
+    stopwords: frozenset[str],
+    synonyms: SynonymLexicon | None,
+) -> list[ContentWords]:
+    """Content words of each document, noised as ``cfg`` says."""
+    noise_cfg = NoiseConfig(cfg.drop_rate, cfg.synonym_rate, cfg.seed)
+    return strip_corpus(docs, stopwords, cfg.noise, noise_cfg, synonyms)
+
+
 def _verses(path: str, min_lines: int = 4) -> list[Verse]:
     """Every verse of at least ``min_lines`` lines in a lyrics corpus."""
     return [
@@ -275,11 +285,8 @@ def run_pipeline(
 
     if not doc.lines:
         raise PipelineError("strip", "empty input")
-    cw = extract_content_words(doc, runtime.stopwords)
-
     try:
-        noise_cfg = NoiseConfig(cfg.drop_rate, cfg.synonym_rate, cfg.seed)
-        cw = apply_noise(cw, cfg.noise, noise_cfg, runtime.synonyms)
+        [cw] = _strip(cfg, [doc], runtime.stopwords, runtime.synonyms)
     except ValueError as exc:
         raise PipelineError("noise", str(exc)) from exc
 
@@ -318,24 +325,15 @@ _REPORT_COLUMNS = (
 
 
 def serve_report(reports: list[dict]) -> str:
-    """Aggregate reports into a mean ± std summary table.
+    """Aggregate reports into a mean ± std table of the four report columns.
 
-    Columns with no numeric values in any report render "-".
+    Other keys are ignored. A column with no numeric value in any report
+    renders "-".
     """
     if not reports:
         raise ValueError("serve_report requires at least one report")
-    known = [k for k, _ in _REPORT_COLUMNS]
-    extra = sorted(
-        {
-            k
-            for r in reports
-            for k, v in r.items()
-            if k not in known and isinstance(v, (int, float)) and not isinstance(v, bool)
-        }
-    )
-    columns = [(k, label) for k, label in _REPORT_COLUMNS] + [(k, k) for k in extra]
     cells = []
-    for key, label in columns:
+    for key, label in _REPORT_COLUMNS:
         values = [
             float(r[key])
             for r in reports
@@ -371,15 +369,7 @@ def _cmd_corpus_split(args) -> None:
 def _cmd_strip(args) -> None:
     cfg = _flag_config(args)
     docs = load_corpus(args.path, args.kind)
-    results = strip_corpus(
-        docs,
-        _stopwords(cfg),
-        noise=cfg.noise,
-        cfg=NoiseConfig(cfg.drop_rate, cfg.synonym_rate, cfg.seed),
-        synonyms=_synonyms(cfg),
-        workers=args.jobs,
-    )
-    for cw in results:
+    for cw in _strip(cfg, docs, _stopwords(cfg), _synonyms(cfg)):
         text = join_lines(cw.lines)
         _emit({"doc": cw.provenance, "noise": cw.noise, "seed": cw.seed, "text": text})
 
@@ -391,13 +381,8 @@ def _cmd_pair(args) -> None:
         for doc in load_corpus(args.path, "lyrics")
         for j, verse in enumerate(corpus_mod.split_verses(doc, args.min_lines))
     ]
-    sources = strip_corpus(
-        [Document(id=vid, kind="lyrics", lines=verse.lines, raw="") for vid, verse in verses],
-        _stopwords(cfg),
-        noise=cfg.noise,
-        cfg=NoiseConfig(cfg.drop_rate, cfg.synonym_rate, cfg.seed),
-        synonyms=_synonyms(cfg),
-    )
+    docs = [Document(id=vid, kind="lyrics", lines=verse.lines, raw="") for vid, verse in verses]
+    sources = _strip(cfg, docs, _stopwords(cfg), _synonyms(cfg))
     # Everything that can fail has run, so a bad input leaves --out untouched.
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from statistics import mean, pstdev
 from typing import Iterable
@@ -151,22 +152,19 @@ def split_verses(lyric: Document, min_lines: int = 4) -> list[Verse]:
     """Segment a lyrics document at blank lines, dropping short blocks.
 
     Blocks with fewer than ``min_lines`` lines (choruses, intros, ad-libs)
-    are discarded.
+    are discarded untokenized. A line is blank when ``str.strip`` empties
+    it, which is exactly when :func:`tokenize` finds no token in it: both
+    treat the ``str.isspace`` characters as whitespace, and lowercasing
+    adds none.
     """
     if lyric.kind != "lyrics":
         raise ValueError(f"split_verses expects a lyrics document, got {lyric.kind!r}")
     verses: list[Verse] = []
-    block: list[Line] = []
-    for raw_line in lyric.raw.splitlines():
-        tokenized = tokenize(raw_line)
-        if tokenized:
-            block.append(tokenized[0])
-        elif block:
-            if len(block) >= min_lines:
-                verses.append(Verse(block, lyric.id))
-            block = []
-    if block and len(block) >= min_lines:
-        verses.append(Verse(block, lyric.id))
+    for has_text, group in groupby(lyric.raw.splitlines(), lambda line: line.strip() != ""):
+        block = list(group)
+        # A blank run is never a verse, even when min_lines <= 0.
+        if has_text and len(block) >= min_lines:
+            verses.append(Verse(tokenize("\n".join(block)), lyric.id))
     return verses
 
 

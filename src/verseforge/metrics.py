@@ -214,13 +214,9 @@ def corpus_bleu(candidates: list[list[str]], references: list[list[str]]) -> flo
     Geometric mean of pooled clipped precisions times the brevity penalty;
     no smoothing, so any zero pooled precision zeroes the score.
     """
-    if len(candidates) != len(references):
-        raise ValueError(
-            f"candidate/reference count mismatch: {len(candidates)} vs {len(references)}"
-        )
+    precisions = modified_precisions(candidates, references)  # checks the counts
     if not candidates:
         raise ValueError("corpus_bleu requires at least one pair")
-    precisions = modified_precisions(candidates, references)
     if any(p == 0.0 for p in precisions):
         return 0.0
     c = sum(len(t) for t in candidates)

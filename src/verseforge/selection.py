@@ -178,6 +178,21 @@ def _normalize(vec: dict[int, float]) -> dict[int, float]:
     return {d: w / norm for d, w in vec.items()}
 
 
+def _new_index(docs: list, stopwords: frozenset[str] | None) -> RetrievalIndex:
+    """An index over ``docs`` with no vectors yet; the builders fill them in."""
+    if not docs:
+        raise ValueError("cannot index an empty corpus")
+    return RetrievalIndex(
+        doc_ids=[_id_of(d, i) for i, d in enumerate(docs)],
+        documents=list(docs),
+        vectors=[],
+        vocabulary={},
+        df={},
+        n_docs=len(docs),
+        stopwords=default_stopwords() if stopwords is None else stopwords,
+    )
+
+
 def build_index(
     docs: list,
     min_df: int = 1,
@@ -185,36 +200,27 @@ def build_index(
 ) -> RetrievalIndex:
     """TF-IDF index: weight = term count * ln(N / df), L2-normalized.
 
-    Stopwords never enter the vocabulary. With a single document every
-    idf is ln(1) = 0, leaving zero vectors; the index stays valid and all
-    similarities are 0.
+    Stopwords never enter the vocabulary. Each vector holds its dimensions
+    in ascending order, as :func:`load_index` reads them back, so a built
+    and a reloaded index sum every similarity in the same order. With a
+    single document every idf is ln(1) = 0, leaving zero vectors; the index
+    stays valid and all similarities are 0.
     """
-    if not docs:
-        raise ValueError("cannot index an empty corpus")
-    if stopwords is None:
-        stopwords = default_stopwords()
+    index = _new_index(docs, stopwords)
     token_lists = [
-        [t for t in _tokens_of(d) if t not in stopwords] for d in docs
+        [t for t in _tokens_of(d) if t not in index.stopwords] for d in docs
     ]
     df: dict[str, int] = {}
     for tokens in token_lists:
         for term in set(tokens):
             df[term] = df.get(term, 0) + 1
-    df = {t: c for t, c in df.items() if c >= min_df}
-    vocabulary = {term: dim for dim, term in enumerate(sorted(df))}
-    n = len(docs)
-    vectors = [
-        _weigh(tokens, vocabulary, df, n) for tokens in token_lists
+    index.df = {t: c for t, c in df.items() if c >= min_df}
+    index.vocabulary = {term: dim for dim, term in enumerate(sorted(index.df))}
+    index.vectors = [
+        dict(sorted(_weigh(tokens, index.vocabulary, index.df, index.n_docs).items()))
+        for tokens in token_lists
     ]
-    return RetrievalIndex(
-        doc_ids=[_id_of(d, i) for i, d in enumerate(docs)],
-        documents=list(docs),
-        vectors=vectors,
-        vocabulary=vocabulary,
-        df=df,
-        n_docs=n,
-        stopwords=stopwords,
-    )
+    return index
 
 
 def _weigh(
@@ -236,23 +242,10 @@ def build_vector_index(
     stopwords: frozenset[str] | None = None,
 ) -> RetrievalIndex:
     """Embedding index: mean of known word vectors per doc, L2-normalized."""
-    if not docs:
-        raise ValueError("cannot index an empty corpus")
-    if stopwords is None:
-        stopwords = default_stopwords()
-    vectors = [
-        _embed(_tokens_of(d), word_vectors, stopwords) for d in docs
-    ]
-    return RetrievalIndex(
-        doc_ids=[_id_of(d, i) for i, d in enumerate(docs)],
-        documents=list(docs),
-        vectors=vectors,
-        vocabulary={},
-        df={},
-        n_docs=len(docs),
-        word_vectors=word_vectors,
-        stopwords=stopwords,
-    )
+    index = _new_index(docs, stopwords)
+    index.word_vectors = word_vectors
+    index.vectors = [_embed(_tokens_of(d), word_vectors, index.stopwords) for d in docs]
+    return index
 
 
 def _embed(
@@ -306,7 +299,7 @@ def _query_vector(index: RetrievalIndex, query) -> dict[int, float]:
     tokens = _tokens_of(query)
     if index.word_vectors is not None:
         return _embed(tokens, index.word_vectors, index.stopwords)
-    tokens = [t for t in tokens if t not in index.stopwords]
+    # No stopword is in the vocabulary, and _weigh counts vocabulary terms only.
     return _weigh(tokens, index.vocabulary, index.df, index.n_docs)
 
 
@@ -397,8 +390,10 @@ def _escape(text: str) -> str:
 def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
     """Persist a TF-IDF index: vocabulary.tsv + vectors.txt.
 
-    Whitespace and "%" in document ids and vocabulary terms are
-    percent-encoded; other ids and terms are written as they are.
+    Each vector is written in its stored order, ascending by dimension for
+    a built index, and :func:`load_index` keeps that order. Whitespace and
+    "%" in document ids and vocabulary terms are percent-encoded; other ids
+    and terms are written as they are.
     """
     if index.word_vectors is not None:
         raise ValueError("only TF-IDF indexes support persistence")
@@ -409,7 +404,7 @@ def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
             fh.write(f"{_escape(term)}\t{dim}\t{index.df[term]}\n")
     with (dir_path / VECTORS_FILE).open("w", encoding="utf-8") as fh:
         for doc_id, vec in zip(index.doc_ids, index.vectors):
-            pairs = " ".join(f"{d}:{w:.17g}" for d, w in sorted(vec.items()))
+            pairs = " ".join(f"{d}:{w:.17g}" for d, w in vec.items())
             fh.write(f"{_escape(doc_id)} {pairs}".rstrip() + "\n")
 
 

@@ -159,8 +159,17 @@ class TestServeReport:
         assert "0.80 ± 0.00" in table
 
     def test_population_std(self):
-        table = serve_report([{"rd": 0.8}, {"rd": 1.0}])
+        table = serve_report([{"rd_after": 0.8}, {"rd_after": 1.0}])
         assert "0.90 ± 0.10" in table
+
+    def test_four_fixed_columns(self):
+        # Keys outside the four columns, numeric or not, add no column.
+        report = {"overlap_vs_input": 0.5, "rd_before": 0.25, "rd_after": 1.0, "rep": 0.0,
+                  "replaced_positions": [[0, 1]], "rd": 2.0}
+        assert serve_report([report]).splitlines() == [
+            "Overlap      RD before    RD after     Rep",
+            "0.50 ± 0.00  0.25 ± 0.00  1.00 ± 0.00  0.00 ± 0.00",
+        ]
 
     def test_missing_column_dash(self):
         table = serve_report([{"rd_after": 1.0}, {"rd_after": 1.2}])

@@ -156,6 +156,19 @@ class TestUnicodeRules:
         spaced = "x".join(ALL_CHARS)
         assert spaced.split() == re.split(r"\s", spaced)
 
+    def test_strip_removes_exactly_isspace(self):
+        # split_verses calls a line blank when str.strip empties it.
+        assert [c for c in ALL_CHARS if not c.strip()] == WHITESPACE
+
+    def test_lower_adds_no_whitespace_or_line_boundary(self):
+        # So tokenize finds a token in a line exactly when str.strip leaves
+        # something, and a joined block of lines keeps its line count.
+        spaces = "".join(WHITESPACE)
+        assert spaces.lower() == spaces
+        lowered = "".join(c for c in ALL_CHARS if not c.isspace()).lower()
+        assert re.search(r"\s", lowered) is None
+        assert lowered.splitlines() == [lowered]
+
 
 class TestSplitVerses:
     def test_single_block(self):
@@ -185,6 +198,34 @@ class TestSplitVerses:
     def test_rejects_prose(self):
         with pytest.raises(ValueError):
             split_verses(make_doc("some text", kind="news"))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ["\n", "\n\n", " ", "\u3000", "\x1c", "\u2028", "\r\n", "a b", "?", "İ"]
+                ),
+                st.text(max_size=3),
+            ),
+            max_size=30,
+        ).map("".join),
+        st.integers(-1, 3),
+    )
+    def test_matches_per_line_reference(self, raw, min_lines):
+        # Reference: tokenize line by line and flush a block at each blank
+        # line and at the end.
+        verses, block = [], []
+        for raw_line in raw.splitlines():
+            tokenized = tokenize(raw_line)
+            if tokenized:
+                block.append(tokenized[0])
+            elif block:
+                if len(block) >= min_lines:
+                    verses.append(block)
+                block = []
+        if block and len(block) >= min_lines:
+            verses.append(block)
+        assert [v.lines for v in split_verses(make_doc(raw), min_lines)] == verses
 
     def test_lines_preserved_verbatim(self):
         raw = "one two three\nfour five six\nseven eight nine\nten eleven twelve"

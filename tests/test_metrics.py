@@ -291,11 +291,13 @@ class TestCorpusBleu:
         assert corpus_bleu(cand, ref) == pytest.approx(100.0 * math.exp(1 - 5 / 4))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^candidate/reference count mismatch: 1 vs 0$"):
             corpus_bleu([["a"]], [])
+        with pytest.raises(ValueError, match="^candidate/reference count mismatch: 0 vs 1$"):
+            corpus_bleu([], [["a"]])
 
     def test_empty_corpus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^corpus_bleu requires at least one pair$"):
             corpus_bleu([], [])
 
     def test_pooled_over_corpus(self):

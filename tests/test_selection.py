@@ -261,6 +261,8 @@ class TestTfIdfIndex:
 TERMS = ["rain", "pain", "gold", "soul", "night", "light", "sea"]
 STOP = frozenset(["the"])
 token_lists = st.lists(st.sampled_from(TERMS + ["the"]), max_size=9)
+# Many terms per document, so sums of several products can round apart.
+WIDE_TERMS = [f"t{i}" for i in range(12)]
 
 
 class TestPostingsRetrieval:
@@ -287,18 +289,17 @@ class TestPostingsRetrieval:
         )
 
     def test_tie_hidden_by_rounding_in_query_order(self):
-        # Documents 2 and 3 tie exactly, with plain and with compensated
-        # float sum() (Python 3.12+) alike, but summed in query order
-        # document 2 comes out lower; the tie still goes to document 2.
-        docs = [
-            "t9 t8 t5 t10 t10 t6 t2 t2", "t3 t1 t8 t7 t9 t8 t11", "t7 t8 t4",
-            "t8 t1 t11 t5 t2 t2 t0 t3",
-        ]
+        # Positions 1 and 3 tie exactly for second place, with plain and
+        # with compensated float sum() (Python 3.12+) alike, but summed in
+        # query order position 3 comes out higher; the tie still goes to
+        # position 1. Found by a seeded search (random.Random(68017)) over
+        # indexes whose vectors ascend by dimension.
+        docs = ["t10 t7 t5 t6 t7 t5 t1 t9", "t10 t4 t9 t0", "t8 t11 t3", "t5 t0 t9 t8 t0"]
         index = build_index([d.split() for d in docs], stopwords=NO_STOP)
-        query = "t7 t10 t3 t0 t6 t4 t11 t9 t9".split()
+        query = "t4 t5 t8 t6 t3 t5 t11 t11 t0".split()
         got = retrieve_indices(index, query, 2)
         assert exact(got) == exact(scan_retrieve_indices(index, query, 2))
-        assert [i for i, _ in got] == [0, 1]
+        assert [i for i, _ in got] == [2, 1]
 
     def test_postings_built_on_first_query(self):
         docs = [make_doc("cat dog", "d0"), make_doc("cat fish", "d1")]
@@ -418,6 +419,25 @@ class TestPersistence:
         assert loaded.vocabulary == index.vocabulary
         assert loaded.df == index.df
         assert loaded.vectors == index.vectors
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.sampled_from(WIDE_TERMS), max_size=12), min_size=2, max_size=8),
+        query=st.lists(st.sampled_from(WIDE_TERMS), min_size=1, max_size=12),
+        k=st.integers(1, 8),
+    )
+    def test_reloaded_index_retrieves_identically(self, docs, query, k):
+        # Similarities agree to the last bit: both indexes hold each vector
+        # in ascending dimension order, so every sum runs in the same order.
+        index = build_index(docs, stopwords=NO_STOP)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, tmp)
+            loaded = load_index(tmp)
+        assert all(list(v) == sorted(v) for v in index.vectors)
+        assert [list(v) for v in loaded.vectors] == [list(v) for v in index.vectors]
+        assert exact(retrieve_indices(loaded, query, k)) == exact(
+            retrieve_indices(index, query, k)
+        )
 
     def test_embedding_index_not_persistable(self, tmp_path):
         vectors = {"cat": [1.0, 0.0], "dog": [0.0, 1.0]}
