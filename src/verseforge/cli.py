@@ -443,6 +443,8 @@ def _cmd_rerank(args) -> None:
 
 
 def _cmd_retrieve(args) -> None:
+    if args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     if args.index_dir:
         index = load_index(args.index_dir)
     elif args.corpus:

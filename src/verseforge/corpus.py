@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import filterfalse, groupby
 from pathlib import Path
 from statistics import mean, pstdev
 from typing import Iterable
@@ -140,8 +140,17 @@ def split_flat(text: str) -> list[Line]:
 
 
 def is_punctuation(token: str) -> bool:
-    """True for tokens with no alphanumeric content ("?", "...", "_")."""
-    return find_alnum(token) is None
+    """True for tokens with no alphanumeric content ("?", "...", "_").
+
+    A token that ``str.isalnum`` accepts (nearly every word) holds an
+    alphanumeric character, so the regex runs only on the others.
+    """
+    return not token.isalnum() and find_alnum(token) is None
+
+
+def punctuation_in(tokens: Iterable[str]) -> set[str]:
+    """The tokens of ``tokens`` that :func:`is_punctuation` accepts, in C-level passes."""
+    return set(filterfalse(find_alnum, filterfalse(str.isalnum, tokens)))
 
 
 def is_number(token: str) -> bool:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse
 
-from .corpus import Verse, find_alnum
+from .corpus import Verse, find_alnum, punctuation_in
 from .phonetics import Lexicon, vowel_sequence
 
 
@@ -93,31 +92,37 @@ def per_word_rhyme_lengths(verse: Verse, lex: Lexicon, cfg: RhymeConfig) -> list
     exclude_identical = cfg.exclude_identical
     # Last vowel at a word's end mark -> indices of the words ending there.
     ending_on: dict[str, list[int]] = {}
-    lengths: list[int] = []
+    lengths = [0] * len(marks)
     p_prev = 0
-    for i, tok in enumerate(tokens):
-        p_i = marks[i]
-        if p_i == 0:
-            lengths.append(0)
+    for i, p_i in enumerate(marks):
+        if p_i == p_prev:
+            # A word without vowels scores 0, but it ends where the word
+            # before it ended, so later words can still match at its end.
+            if p_i:
+                ending_on[vowels[p_i - 1]].append(i)
             continue
-        same_end = ending_on.setdefault(vowels[p_i - 1], [])
-        best = 0
-        if p_i != p_prev:
-            lo = i - window
-            for j in reversed(same_end):
-                if j < lo:
-                    break
-                if exclude_identical and tokens[j] == tok:
-                    continue
-                p_j = marks[j]
-                k = 1
-                while k < p_j and vowels[p_i - 1 - k] == vowels[p_j - 1 - k]:
-                    k += 1
-                if k > best:
-                    best = k
-        same_end.append(i)
         p_prev = p_i
-        lengths.append(best)
+        last = vowels[p_i - 1]
+        same_end = ending_on.get(last)
+        if same_end is None:
+            ending_on[last] = [i]
+            continue
+        tok = tokens[i]
+        lo = i - window
+        best = 0
+        for j in reversed(same_end):
+            if j < lo:
+                break
+            if exclude_identical and tokens[j] == tok:
+                continue
+            p_j = marks[j]
+            k = 1
+            while k < p_j and vowels[p_i - 1 - k] == vowels[p_j - 1 - k]:
+                k += 1
+            if k > best:
+                best = k
+        same_end.append(i)
+        lengths[i] = best
     return lengths
 
 
@@ -151,14 +156,18 @@ def repetition_score(verse: Verse) -> float:
     n = len(verse.lines)
     if n < 2:
         return 0.0
-    # A word of line i occurs in another line exactly when more than one
-    # line contains it, so one count over all lines replaces rebuilding
-    # "the rest of the verse" for every line. Punctuation is decided once
-    # per distinct token of the verse, then removed from every line.
-    sets = [set(line) for line in verse.lines]
-    lines_with = Counter(chain.from_iterable(sets))
-    punct = set(filterfalse(find_alnum, lines_with))
-    shared = {w for w, count in lines_with.items() if count > 1}
+    # A word of line i occurs in another line exactly when at least two
+    # lines contain it, so collecting the words each line shares with the
+    # lines before it replaces rebuilding "the rest of the verse" for every
+    # line. Punctuation is decided once per distinct token of the verse,
+    # then removed from every line.
+    sets = list(map(set, verse.lines))
+    seen: set[str] = set()
+    shared: set[str] = set()
+    for words in sets:
+        shared |= words & seen
+        seen |= words
+    punct = punctuation_in(seen)
     total = 0.0
     for words in sets:
         words -= punct

@@ -9,7 +9,9 @@ only look at the vowel projection of a pronunciation (assonance).
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from pathlib import Path
 
 # ARPABET vowel inventory (stress digits already stripped at load time).
@@ -42,14 +44,16 @@ class Lexicon:
     :meth:`vowels` memoises each word's vowel projection on its first
     lookup, so ``entries`` must not be mutated after that: a later edit
     would not reach words already looked up. The memo takes no part in
-    equality or ``repr``.
+    equality or ``repr``, and every new ``Lexicon`` (``dataclasses.replace``
+    included) starts with an empty one.
     """
 
     entries: dict[str, Pronunciation] = field(default_factory=dict)
     source: str | None = None
-    _vowel_memo: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _vowel_memo: _VowelMemo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._vowel_memo = _VowelMemo(self)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -59,9 +63,23 @@ class Lexicon:
 
     def vowels(self, word: str) -> tuple[str, ...]:
         """The vowel symbols of ``transcribe(word, self)``, computed once per word."""
-        found = self._vowel_memo.get(word)
-        if found is None:
-            found = self._vowel_memo[word] = tuple(filter(is_vowel, transcribe(word, self)))
+        return self._vowel_memo[word]
+
+
+class _VowelMemo(dict):
+    """Memo of each word's vowel symbols, transcribed on the word's first lookup.
+
+    It refers to its lexicon weakly: a strong reference would make a cycle,
+    and a replaced lexicon would then stay in memory until the cyclic
+    collector ran, rather than being freed when its last reference goes.
+    """
+
+    def __init__(self, lex: Lexicon) -> None:
+        super().__init__()
+        self._lex = weakref.ref(lex)
+
+    def __missing__(self, word: str) -> tuple[str, ...]:
+        found = self[word] = tuple(filter(is_vowel, transcribe(word, self._lex())))
         return found
 
 
@@ -157,9 +175,5 @@ def transcribe(word: str, lex: Lexicon) -> Pronunciation:
 
 def vowel_sequence(words: list[str], lex: Lexicon) -> VowelSeq:
     """Concatenate each word's vowel symbols, marking word ends."""
-    vowels: list[str] = []
-    marks: list[int] = []
-    for word in words:
-        vowels.extend(lex.vowels(word))
-        marks.append(len(vowels))
-    return VowelSeq(tuple(vowels), tuple(marks))
+    per_word = list(map(lex._vowel_memo.__getitem__, words))
+    return VowelSeq(tuple(chain.from_iterable(per_word)), tuple(accumulate(map(len, per_word))))

@@ -425,6 +425,18 @@ class TestRetrieveCommand:
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "retrieve requires --index-dir or --corpus"}
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_an_error(self, capsys, tmp_path, k):
+        # Checked before any index is built or saved.
+        idx_dir = tmp_path / "idx"
+        code, out, err = run_cli(
+            capsys, "retrieve", "--query", MINI / "doc_a.txt", "--corpus", MINI,
+            "--k", k, "--save-index", idx_dir,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"--k must be at least 1, got {k}"}
+        assert not idx_dir.exists()
+
     def test_ad_hoc_index_and_persistence(self, capsys, tmp_path):
         query = tmp_path / "query.txt"
         query.write_text("rain on the window pane\n")

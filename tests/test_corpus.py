@@ -17,6 +17,7 @@ from verseforge.corpus import (
     is_punctuation,
     join_lines,
     load_corpus,
+    punctuation_in,
     split_flat,
     split_verses,
     tokenize,
@@ -135,6 +136,15 @@ def test_is_number():
 def test_is_punctuation():
     assert is_punctuation("?") and is_punctuation("...") and is_punctuation("-")
     assert not is_punctuation("can't") and not is_punctuation("4")
+
+
+@given(st.lists(st.text(max_size=4)))
+def test_isalnum_prefilter_keeps_the_regex_rule(tokens):
+    # str.isalnum decides the tokens it accepts without the regex; the rule
+    # must still be "find_alnum finds nothing", the empty token included.
+    expected = {t for t in tokens if find_alnum(t) is None}
+    assert punctuation_in(tokens) == expected
+    assert set(filter(is_punctuation, tokens)) == expected
 
 
 class TestUnicodeRules:

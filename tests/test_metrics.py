@@ -122,6 +122,14 @@ class TestRhymeDensity:
         )
         assert lengths == [0, 0, 1, 2]
 
+    def test_vowelless_word_is_a_candidate_at_its_mark(self, toy_lex):
+        # "hmm" ends on "bat"'s mark with a different token, so the second
+        # "bat" matches there although exclude_identical blocks the first.
+        verse = Verse([["bat", "hmm", "bat"]])
+        lengths = per_word_rhyme_lengths(verse, toy_lex, RhymeConfig())
+        assert lengths == [0, 0, 1]
+        assert brute_force_lengths(verse.all_tokens(), toy_lex) == lengths
+
     def test_window_limits_lookback(self, toy_lex):
         tokens = ["bat"] + ["go"] * 15 + ["cat"]
         wide = per_word_rhyme_lengths(Verse([tokens]), toy_lex, RhymeConfig(lookback_window=16))
@@ -221,7 +229,9 @@ def counting_repetition_reference(verse):
 
 # Repeated words, punctuation-only tokens ("_" and "—" included) and tokens
 # that hold a non-ASCII digit or letter.
-REPETITION_TOKENS = MIXED_TOKENS + ["_", "__", "—", "!?", "...", "٣", "a_b", "u.s", "ß"]
+REPETITION_TOKENS = MIXED_TOKENS + [
+    "_", "__", "—", "!?", "...", "٣", "a_b", "u.s", "u.s.", "can't", "ß"
+]
 
 
 class TestRepetitionScore:

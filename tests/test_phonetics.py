@@ -1,4 +1,7 @@
+import gc
 import tempfile
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -282,3 +285,33 @@ class TestVowelMemo:
         for _ in range(2):
             with pytest.raises(ValueError):
                 lex.vowels("")
+        assert lex._vowel_memo == {}
+
+    def test_repeated_lookup_returns_the_same_tuple(self, toy_lex):
+        lex = Lexicon(dict(toy_lex.entries))
+        for word in ("hurricane", "zorbly", "hmm"):
+            assert lex.vowels(word) is lex.vowels(word)
+
+    def test_new_lexicon_starts_with_a_fresh_memo(self, toy_lex):
+        used = Lexicon(dict(toy_lex.entries), toy_lex.source)
+        used.vowels("bat")
+        for fresh in (Lexicon(dict(used.entries)), replace(used)):
+            assert fresh._vowel_memo == {}
+            assert fresh._vowel_memo is not used._vowel_memo
+        # The copy's memo transcribes through the copy's own entries.
+        changed = replace(used, entries={"bat": ("B", "IY", "T")})
+        assert changed.vowels("bat") == ("IY",)
+        assert used.vowels("bat") == ("AE",)
+
+    def test_dropped_lexicon_is_freed_without_the_cyclic_collector(self, toy_lex):
+        # A lexicon replaced by a reload must not stay in memory beside the
+        # new one until a collection runs.
+        lex = Lexicon(dict(toy_lex.entries))
+        lex.vowels("bat")
+        ref = weakref.ref(lex)
+        gc.disable()
+        try:
+            del lex
+            assert ref() is None
+        finally:
+            gc.enable()
