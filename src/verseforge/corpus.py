@@ -41,6 +41,11 @@ _NUMBER_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
 # Line-separator symbol used in all flat, single-string serializations
 # (training pairs, predictor queries, hypothesis batches).
 NL_TOKEN = "<nl>"
+# The masked position of a predictor query.
+MASK_TOKEN = "<mask>"
+# The flat format has no escape, so corpus input may not hold these, in
+# any case, even inside a token.
+RESERVED_TOKENS = (NL_TOKEN, MASK_TOKEN)
 
 Line = list[str]
 
@@ -213,10 +218,28 @@ def load_word_list(path: str | Path) -> frozenset[str]:
     return frozenset(w for w in words if w)
 
 
+def _reject_reserved(path: Path, text: str) -> None:
+    """Raise ValueError naming the first line of ``text`` that holds a reserved token."""
+    # Every reserved token starts with "<", and lowering makes no "<".
+    if "<" not in text:
+        return
+    lowered = text.lower()
+    found = [(lowered.find(tok), tok) for tok in RESERVED_TOKENS if tok in lowered]
+    if found:
+        pos, tok = min(found)
+        lineno = lowered.count("\n", 0, pos) + 1
+        raise ValueError(f"{path}:{lineno}: reserved token {tok!r} in corpus input")
+
+
 def load_document(path: str | Path, kind: str, doc_id: str | None = None) -> Document:
-    """Load one document from a UTF-8 text file."""
+    """Load one document from a UTF-8 text file.
+
+    A line holding a reserved token (:data:`RESERVED_TOKENS`) raises
+    ValueError naming the file and line.
+    """
     path = Path(path)
     raw = path.read_text(encoding="utf-8")
+    _reject_reserved(path, raw)
     return Document(id=doc_id or path.stem, kind=kind, lines=tokenize(raw), raw=raw)
 
 
@@ -226,15 +249,18 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
     Directories yield one document per ``*.txt`` file (sorted by name).
     A lyrics file is a single song; a prose file holds one document per
     line, and a line ends at a newline only: U+2028, U+0085 or a form
-    feed inside it stays in its document.
+    feed inside it stays in its document. As in :func:`load_document`, a
+    line holding a reserved token raises ValueError naming file and line.
     """
     path = Path(path)
     if path.is_dir():
         return [load_document(p, kind) for p in sorted(path.glob("*.txt"))]
     if kind == "lyrics":
         return [load_document(path, kind)]
+    text = path.read_text(encoding="utf-8")
+    _reject_reserved(path, text)
     docs = []
-    for i, raw_line in enumerate(path.read_text(encoding="utf-8").split("\n")):
+    for i, raw_line in enumerate(text.split("\n")):
         if not raw_line.strip():
             continue
         docs.append(

@@ -21,11 +21,9 @@ from typing import Protocol
 
 import requests
 
-from .corpus import NL_TOKEN, Verse, load_word_list as load_deny_list
+from .corpus import MASK_TOKEN, NL_TOKEN, Verse, load_word_list as load_deny_list
 from .metrics import rhyme_length, rhyme_length_vowels
 from .phonetics import Lexicon
-
-MASK_TOKEN = "<mask>"
 
 MODES = ("first_improvement", "best_of_k")
 

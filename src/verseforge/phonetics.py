@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
@@ -43,12 +44,14 @@ class Lexicon:
 
     :meth:`vowels` memoises each word's vowel projection on its first
     lookup, so ``entries`` must not be mutated after that: a later edit
-    would not reach words already looked up. The memo takes no part in
-    equality or ``repr``, and every new ``Lexicon`` (``dataclasses.replace``
-    included) starts with an empty one.
+    would not reach words already looked up. A lexicon from
+    :func:`load_lexicon` enforces this: its ``entries`` is a read-only
+    mapping that parses each word's phonemes on the word's first lookup.
+    The memo takes no part in equality or ``repr``, and every new
+    ``Lexicon`` (``dataclasses.replace`` included) starts with an empty one.
     """
 
-    entries: dict[str, Pronunciation] = field(default_factory=dict)
+    entries: Mapping[str, Pronunciation] = field(default_factory=dict)
     source: str | None = None
     _vowel_memo: _VowelMemo = field(init=False, repr=False, compare=False)
 
@@ -113,21 +116,57 @@ class _StressFree(dict):
         return stripped
 
 
+class _LazyEntries(Mapping):
+    """Read-only word to phoneme tuple map over raw phoneme strings.
+
+    A word's tuple is parsed on its first lookup and kept. Length,
+    iteration and membership read the raw strings and parse nothing.
+    """
+
+    def __init__(self, raw: dict[str, str]) -> None:
+        self._raw = raw
+        self._parsed: dict[str, Pronunciation] = {}
+        self._stress_free = _StressFree().__getitem__
+
+    def __getitem__(self, word: str) -> Pronunciation:
+        try:
+            return self._parsed[word]
+        except KeyError:
+            found = self._parsed[word] = tuple(map(self._stress_free, self._raw[word].split()))
+            return found
+
+    def get(self, word: str, default=None):
+        return self[word] if word in self._raw else default
+
+    def __contains__(self, word: object) -> bool:
+        return word in self._raw
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._raw)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a CMUdict-format pronunciation file.
 
     Lines look like ``FOOD  F UW1 D``. Comment lines starting with ``;;;``
     and alternate-pronunciation entries like ``FOOD(2)`` are skipped;
-    stress digits are stripped. Each line is split once, and stress is
-    stripped once per distinct phoneme symbol, so all entries share one
-    string object per stripped symbol.
+    stress digits are stripped. Each line is split once into its word and
+    raw phoneme string; a word's phonemes are parsed on its first lookup,
+    with stress stripped once per distinct phoneme symbol, so all entries
+    share one string object per stripped symbol.
     """
     path = Path(path)
-    entries: dict[str, Pronunciation] = {}
-    stress_free = _StressFree().__getitem__
+    raw_entries: dict[str, str] = {}
     with path.open(encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
+            # The remainder after the word starts at a phoneme, if any.
+            parts = raw.split(None, 1)
             if not parts or parts[0].startswith(";;;"):
                 continue
             if len(parts) < 2:
@@ -137,10 +176,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
             word = parts[0].lower()
             # A word holds no whitespace, so _VARIANT_RE can only match a
             # word that ends in ")".
-            if word in entries or (word[-1] == ")" and _VARIANT_RE.match(word)):
+            if word in raw_entries or (word[-1] == ")" and _VARIANT_RE.match(word)):
                 continue
-            entries[word] = tuple(map(stress_free, parts[1:]))
-    return Lexicon(entries=entries, source=str(path))
+            raw_entries[word] = parts[1]
+    return Lexicon(entries=_LazyEntries(raw_entries), source=str(path))
 
 
 def fallback_pronunciation(word: str) -> Pronunciation:

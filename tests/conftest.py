@@ -4,7 +4,16 @@ from pathlib import Path
 import pytest
 
 from verseforge.corpus import Verse
-from verseforge.phonetics import Lexicon, is_vowel, load_lexicon, transcribe
+from verseforge.phonetics import (
+    _VARIANT_RE,
+    LexiconFormatError,
+    Lexicon,
+    Pronunciation,
+    is_vowel,
+    load_lexicon,
+    strip_stress,
+    transcribe,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 PKG_DATA_DIR = Path(__file__).parent.parent / "src" / "verseforge" / "data"
@@ -43,16 +52,83 @@ MIXED_TOKENS = TOY_WORDS + [
 ]
 
 
+def reference_load_lexicon(path: str | Path) -> Lexicon:
+    """Reference: the per-line parser that strips every phoneme separately.
+
+    Its entries are a plain dict, built eagerly, so checks run over it do
+    not go through :func:`load_lexicon`'s parse on first lookup.
+    """
+    path = Path(path)
+    entries: dict[str, Pronunciation] = {}
+    with path.open(encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith(";;;"):
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise LexiconFormatError(
+                    f"{path}:{lineno}: expected 'WORD PH1 PH2 ...', got {line!r}"
+                )
+            word = parts[0].lower()
+            if _VARIANT_RE.match(word):
+                continue
+            if word in entries:
+                continue
+            entries[word] = tuple(strip_stress(p) for p in parts[1:])
+    return Lexicon(entries=entries, source=str(path))
+
+
 def uncached_vowels(word: str, lex: Lexicon) -> tuple[str, ...]:
     """Vowel symbols of ``transcribe(word, lex)``, bypassing the lexicon's vowel memo."""
     return tuple(filter(is_vowel, transcribe(word, lex)))
 
 
+def brute_force_lengths(tokens, lex, window=15, exclude_identical=True):
+    """Exhaustive (i, j, k) enumeration of matching vowel suffixes.
+
+    Independent of the shipped scan and of the lexicon's vowel memo: the
+    stream is built from uncached transcriptions, and every candidate k is
+    tested by slice comparison over it. Run it over a lexicon from
+    :func:`reference_load_lexicon` to keep the lexicon parse out of it too.
+    """
+    vowels, marks = [], []
+    for tok in tokens:
+        vowels.extend(uncached_vowels(tok, lex))
+        marks.append(len(vowels))
+    out = []
+    for i, tok in enumerate(tokens):
+        start = marks[i - 1] if i else 0
+        if marks[i] == start:  # word without vowels
+            out.append(0)
+            continue
+        best = 0
+        for j in range(max(0, i - window), i):
+            if exclude_identical and tokens[j] == tok:
+                continue
+            for k in range(1, min(marks[i], marks[j]) + 1):
+                if vowels[marks[i] - k : marks[i]] == vowels[marks[j] - k : marks[j]]:
+                    best = max(best, k)
+        out.append(best)
+    return out
+
+
 @pytest.fixture(scope="session")
-def toy_lex(tmp_path_factory) -> Lexicon:
+def toy_lex_path(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("lex") / "toy.dict"
     path.write_text(TOY_LEXICON, encoding="utf-8")
-    return load_lexicon(path)
+    return path
+
+
+@pytest.fixture(scope="session")
+def toy_lex(toy_lex_path) -> Lexicon:
+    return load_lexicon(toy_lex_path)
+
+
+@pytest.fixture(scope="session")
+def toy_reference_lex(toy_lex_path) -> Lexicon:
+    """The toy lexicon parsed eagerly by :func:`reference_load_lexicon`."""
+    return reference_load_lexicon(toy_lex_path)
 
 
 @pytest.fixture(scope="session")

@@ -713,6 +713,25 @@ class TestErrorReporting:
         payload = json.loads(err)
         assert payload["stage"] == "rerank"
 
+    @pytest.mark.parametrize(
+        "line, lineno, token",
+        [("we ride <nl> at night", 1, "<nl>"), ("the <mask> is bright", 2, "<mask>")],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["pair", "--noise", "none"], ["enhance", "--corpus", MINI, "--lexicon", LEXICON]],
+    )
+    def test_reserved_token_in_corpus_input(self, capsys, tmp_path, command, line, lineno, token):
+        lines = ["we ride at night", "the day is bright", "we go slow", "we hold the flow"]
+        lines[lineno - 1] = line
+        src = tmp_path / "verse.txt"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, command[0], src, *command[1:])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"{src}:{lineno}: reserved token {token!r} in corpus input"
+        }
+
     def test_remote_without_endpoint(self, capsys, tmp_path):
         src = tmp_path / "news.txt"
         src.write_text("storm winds\n")

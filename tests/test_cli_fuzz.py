@@ -21,6 +21,8 @@ LEXICON = PKG_DATA_DIR / "cmudict_sample.txt"
 SYNONYMS = PKG_DATA_DIR / "synonyms_sample.tsv"
 # Content words of the query, doc_d, so every fuzzed vector row counts.
 WORDS = ["rain", "window", "pane", "pain", "game", "name", "flame", "train"]
+# Lyrics words, with the reserved tokens of the flat format (one upper-cased).
+LYRICS_WORDS = WORDS + ["<nl>", "<NL>", "<mask>", "the", "a"]
 
 # Each fuzzed file, with the argv of a command that reads it from ``f``.
 COMMANDS = {
@@ -33,6 +35,8 @@ COMMANDS = {
                            "--synonym-rate", "1", "--synonyms", f],
     "deny": lambda f: ["enhance", MINI / "doc_d.txt", "--corpus", MINI, "--lexicon", LEXICON,
                        "--deny", f],
+    "lyrics": lambda f: ["pair", f, "--min-lines", "1", "--noise", "shuffle"],
+    "verses": lambda f: ["enhance", f, "--corpus", MINI, "--lexicon", LEXICON],
     "vectors": lambda f: ["retrieve", "--query", MINI / "doc_d.txt", "--corpus", MINI,
                           "--vectors", f, "--k", "3"],
     VOCAB_FILE: lambda f: ["retrieve", "--query", MINI / "doc_d.txt", "--index-dir", f.parent,
@@ -72,6 +76,10 @@ def _structured(slot: str):
             key: st.dictionaries(st.sampled_from(names), value) for key, names in _NESTED.items()
         })
         return st.tuples(top, nested).map(lambda p: json.dumps({**p[0], **p[1]}))
+    if slot in ("lyrics", "verses"):
+        line = st.lists(st.sampled_from(LYRICS_WORDS), min_size=1, max_size=6).map(" ".join)
+        return st.lists(st.one_of(line, st.just("")), max_size=8).map(
+            lambda lines: "".join(line + "\n" for line in lines))
     if slot == "vectors":
         dim = st.integers(1, 3)
         return dim.flatmap(lambda n: st.lists(
@@ -100,6 +108,8 @@ def _valid(slot: str, index_text: dict) -> str:
         "lexicon": LEXICON.read_text(encoding="utf-8"),
         "synonyms": SYNONYMS.read_text(encoding="utf-8"),
         "deny": "pain\nrain\n",
+        "lyrics": (MINI / "doc_a.txt").read_text(encoding="utf-8"),
+        "verses": (MINI / "doc_d.txt").read_text(encoding="utf-8"),
         "vectors": "rain 1.0 0.0\npain 0.0 1.0\n",
     }.get(slot) or index_text[slot]
 

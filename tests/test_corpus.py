@@ -1,13 +1,17 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from verseforge.corpus import (
     _TOKEN_RE,
     NL_TOKEN,
     PUNCT_CHARS,
+    RESERVED_TOKENS,
+    KINDS,
     Document,
     EmptyCorpusError,
     corpus_stats,
@@ -17,6 +21,7 @@ from verseforge.corpus import (
     is_punctuation,
     join_lines,
     load_corpus,
+    load_document,
     punctuation_in,
     split_flat,
     split_verses,
@@ -332,6 +337,69 @@ class TestLoaders:
         path.write_bytes(newline.join(["a b", "", "c\x0cd", ""]).encode("utf-8"))
         docs = load_corpus(path, "news")
         assert [(d.id, d.lines) for d in docs] == [("f:0", [["a", "b"]]), ("f:2", [["c"], ["d"]])]
+
+
+class TestReservedTokens:
+    @pytest.mark.parametrize(
+        "text, lineno, token",
+        [
+            ("we ride <nl> at night\nthe day\n", 1, "<nl>"),
+            ("we ride\nthe <mask> day\n", 2, "<mask>"),
+            ("one\n\ntwo\nx<nl>y\n", 4, "<nl>"),
+            ("a\r\nb <NL>\r\n", 2, "<nl>"),
+            ("a <Mask>\nb <nl>\n", 1, "<mask>"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["lyrics", "news"])
+    def test_line_with_reserved_token_names_file_and_line(self, tmp_path, text, lineno, token, kind):
+        path = tmp_path / "f.txt"
+        path.write_bytes(text.encode("utf-8"))
+        message = f"{path}:{lineno}: reserved token {token!r} in corpus input"
+        with pytest.raises(ValueError) as exc:
+            load_corpus(path, kind)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            load_document(path, kind)
+        assert str(exc.value) == message
+
+    def test_angle_brackets_alone_are_text(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("a < b > c <n l> <nl\nl>\n", encoding="utf-8")
+        assert load_document(path, "lyrics").lines == [["a", "<", "b", ">", "c", "<n", "l>", "<nl"], ["l>"]]
+
+    def test_directory_names_the_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text("fine\n", encoding="utf-8")
+        (tmp_path / "b.txt").write_text("fine\nnot <mask>\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'b.txt'}:2: ")):
+            load_corpus(tmp_path, "lyrics")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ["<nl>", "<NL>", "<Nl>", "<mask>", "<MASK>", "<", ">", "nl", "mask", "\n",
+                     "\r", "\u2028", "\x85", " ", "x", "\u0130", "\u212a", "(", "."]
+                ),
+                st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+            ),
+            max_size=20,
+        ).map("".join),
+        st.sampled_from(KINDS),
+    )
+    def test_accepted_text_round_trips_through_the_flat_format(self, text, kind):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            path.write_bytes(text.encode("utf-8"))
+            raw = path.read_text(encoding="utf-8")
+            try:
+                docs = load_corpus(path, kind)
+            except ValueError:
+                assert any(tok in raw.lower() for tok in RESERVED_TOKENS)
+                return
+        assert not any(tok in raw.lower() for tok in RESERVED_TOKENS)
+        for doc in docs:
+            assert split_flat(join_lines(doc.lines)) == doc.lines == tokenize(doc.raw)
 
 
 class TestFlatSerialization:

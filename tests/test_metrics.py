@@ -20,35 +20,7 @@ from verseforge.metrics import (
 )
 from verseforge.phonetics import Lexicon, vowel_sequence
 
-from conftest import MIXED_TOKENS, TOY_WORDS, random_verse, uncached_vowels
-
-
-def brute_force_lengths(tokens, lex, window=15, exclude_identical=True):
-    """Exhaustive (i, j, k) enumeration of matching vowel suffixes.
-
-    Independent of the shipped scan and of the lexicon's vowel memo: the
-    stream is built from uncached transcriptions, and every candidate k is
-    tested by slice comparison over it.
-    """
-    vowels, marks = [], []
-    for tok in tokens:
-        vowels.extend(uncached_vowels(tok, lex))
-        marks.append(len(vowels))
-    out = []
-    for i, tok in enumerate(tokens):
-        start = marks[i - 1] if i else 0
-        if marks[i] == start:  # word without vowels
-            out.append(0)
-            continue
-        best = 0
-        for j in range(max(0, i - window), i):
-            if exclude_identical and tokens[j] == tok:
-                continue
-            for k in range(1, min(marks[i], marks[j]) + 1):
-                if vowels[marks[i] - k : marks[i]] == vowels[marks[j] - k : marks[j]]:
-                    best = max(best, k)
-        out.append(best)
-    return out
+from conftest import MIXED_TOKENS, TOY_WORDS, brute_force_lengths, random_verse, uncached_vowels
 
 
 class TestRhymeLength:
@@ -122,13 +94,13 @@ class TestRhymeDensity:
         )
         assert lengths == [0, 0, 1, 2]
 
-    def test_vowelless_word_is_a_candidate_at_its_mark(self, toy_lex):
+    def test_vowelless_word_is_a_candidate_at_its_mark(self, toy_lex, toy_reference_lex):
         # "hmm" ends on "bat"'s mark with a different token, so the second
         # "bat" matches there although exclude_identical blocks the first.
         verse = Verse([["bat", "hmm", "bat"]])
         lengths = per_word_rhyme_lengths(verse, toy_lex, RhymeConfig())
         assert lengths == [0, 0, 1]
-        assert brute_force_lengths(verse.all_tokens(), toy_lex) == lengths
+        assert brute_force_lengths(verse.all_tokens(), toy_reference_lex) == lengths
 
     def test_window_limits_lookback(self, toy_lex):
         tokens = ["bat"] + ["go"] * 15 + ["cat"]
@@ -142,23 +114,25 @@ class TestRhymeDensity:
         three_lines = Verse([tokens[:2], tokens[2:4], tokens[4:]])
         assert rhyme_density(one_line, toy_lex) == rhyme_density(three_lines, toy_lex)
 
-    def test_matches_brute_force_on_random_verses(self, toy_lex):
+    def test_matches_brute_force_on_random_verses(self, toy_lex, toy_reference_lex):
         rng = random.Random(2024)
         cfg = RhymeConfig()
         for _ in range(100):
             verse = random_verse(rng)
             tokens = verse.all_tokens()
             fast = per_word_rhyme_lengths(verse, toy_lex, cfg)
-            slow = brute_force_lengths(tokens, toy_lex, cfg.lookback_window, cfg.exclude_identical)
+            slow = brute_force_lengths(
+                tokens, toy_reference_lex, cfg.lookback_window, cfg.exclude_identical
+            )
             assert fast == slow
             assert rhyme_density(verse, toy_lex, cfg) == sum(slow) / len(slow)
 
-    def test_brute_force_with_fallback_words(self, toy_lex):
+    def test_brute_force_with_fallback_words(self, toy_lex, toy_reference_lex):
         # out-of-lexicon words go through the orthographic fallback
         verse = Verse([["blorp", "zorp", "bat", "splat"], ["hmm", "cat", "blorp"]])
         cfg = RhymeConfig()
         fast = per_word_rhyme_lengths(verse, toy_lex, cfg)
-        slow = brute_force_lengths(verse.all_tokens(), toy_lex)
+        slow = brute_force_lengths(verse.all_tokens(), toy_reference_lex)
         assert fast == slow
 
     @given(
@@ -166,11 +140,13 @@ class TestRhymeDensity:
         st.integers(min_value=1, max_value=20),
         st.booleans(),
     )
-    def test_property_matches_uncached_brute_force(self, toy_lex, lines, window, exclude):
+    def test_property_matches_uncached_brute_force(
+        self, toy_lex, toy_reference_lex, lines, window, exclude
+    ):
         verse = Verse(lines)
         cfg = RhymeConfig(lookback_window=window, exclude_identical=exclude)
         fast = per_word_rhyme_lengths(verse, toy_lex, cfg)
-        assert fast == brute_force_lengths(verse.all_tokens(), toy_lex, window, exclude)
+        assert fast == brute_force_lengths(verse.all_tokens(), toy_reference_lex, window, exclude)
 
 
 class TestUnigramOverlap:

@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verseforge.phonetics import (
-    _VARIANT_RE,
     ARPABET_VOWELS,
     LexiconFormatError,
     Lexicon,
-    Pronunciation,
     fallback_pronunciation,
     is_vowel,
     load_lexicon,
@@ -21,43 +19,26 @@ from verseforge.phonetics import (
     vowel_sequence,
 )
 
-from conftest import MIXED_TOKENS, PKG_DATA_DIR, TOY_WORDS, uncached_vowels
+from conftest import (
+    MIXED_TOKENS,
+    PKG_DATA_DIR,
+    TOY_WORDS,
+    reference_load_lexicon,
+    uncached_vowels,
+)
 
 EMPTY = Lexicon()
 
 
-def reference_load_lexicon(path: str | Path) -> Lexicon:
-    """Reference: the per-line parser that strips every phoneme separately."""
-    path = Path(path)
-    entries: dict[str, Pronunciation] = {}
-    with path.open(encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(";;;"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise LexiconFormatError(
-                    f"{path}:{lineno}: expected 'WORD PH1 PH2 ...', got {line!r}"
-                )
-            word = parts[0].lower()
-            if _VARIANT_RE.match(word):
-                continue
-            if word in entries:
-                continue
-            entries[word] = tuple(strip_stress(p) for p in parts[1:])
-    return Lexicon(entries=entries, source=str(path))
-
-
 def parse_both(data: bytes):
-    """Each parser's entries, or its LexiconFormatError message."""
+    """Each parser's lexicon, or its LexiconFormatError message."""
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lex.dict"
         path.write_bytes(data)
         for parse in (load_lexicon, reference_load_lexicon):
             try:
-                outcomes.append(parse(path).entries)
+                outcomes.append(parse(path))
             except LexiconFormatError as exc:
                 outcomes.append(str(exc))
     return outcomes
@@ -110,6 +91,15 @@ def lexicon_bytes(draw) -> bytes:
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINE).encode("utf-8", "surrogateescape"))
     return b"".join(line + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for line in lines)
+
+
+def _probes(words: list[str]):
+    """Lookup keys: entry words in any case, and misses."""
+    probes = [_WORD, st.text(max_size=6)]
+    if words:
+        entry = st.sampled_from(words)
+        probes += [entry, entry.map(str.upper), entry.map(str.title)]
+    return st.one_of(probes)
 
 
 class TestLoadLexicon:
@@ -168,10 +158,44 @@ class TestLoadLexicon:
         assert load_lexicon(path) == reference_load_lexicon(path)
 
     @settings(max_examples=300, deadline=None)
-    @given(lexicon_bytes())
-    def test_matches_reference_parser(self, data):
-        new, reference = parse_both(data)
-        assert new == reference
+    @given(lexicon_bytes(), st.data())
+    def test_matches_reference_parser(self, data, draw):
+        # Entries are parsed on first lookup; no reader may tell, in any
+        # order of lookups, and an error file fails with the same message.
+        lex, reference = parse_both(data)
+        if not isinstance(reference, Lexicon):
+            assert lex == reference
+            return
+        entries, expected = lex.entries, reference.entries
+        # Length, iteration and membership parse nothing.
+        assert len(entries) == len(lex) == len(expected)
+        assert list(entries) == list(expected)
+        assert all(word in entries for word in expected)
+        assert entries._parsed == {}
+        for word in draw.draw(st.lists(_probes(list(expected)), max_size=12)):
+            assert lex.get(word) == reference.get(word)
+            assert (word in entries) == (word in expected)
+            assert entries.get(word) == expected.get(word)
+            if word in expected:
+                assert type(entries[word]) is tuple
+                assert entries[word] is entries.get(word) is lex.get(word)
+            else:
+                with pytest.raises(KeyError):
+                    entries[word]
+        assert dict(entries) == expected
+        assert repr(lex) == repr(reference)
+        assert lex == reference
+        # Every entry shares one string object per stripped symbol.
+        shared: dict[str, str] = {}
+        for symbol in (s for phonemes in entries.values() for s in phonemes):
+            assert shared.setdefault(symbol, symbol) is symbol
+
+    def test_entries_are_read_only(self, toy_lex):
+        with pytest.raises(TypeError):
+            toy_lex.entries["bat"] = ("B", "IY", "T")
+        with pytest.raises(TypeError):
+            del toy_lex.entries["bat"]
+        assert toy_lex.get("bat") == ("B", "AE", "T")
 
     @pytest.mark.parametrize(
         "data",
@@ -306,12 +330,13 @@ class TestVowelMemo:
     def test_dropped_lexicon_is_freed_without_the_cyclic_collector(self, toy_lex):
         # A lexicon replaced by a reload must not stay in memory beside the
         # new one until a collection runs.
-        lex = Lexicon(dict(toy_lex.entries))
-        lex.vowels("bat")
-        ref = weakref.ref(lex)
-        gc.disable()
-        try:
-            del lex
-            assert ref() is None
-        finally:
-            gc.enable()
+        for make in (lambda: Lexicon(dict(toy_lex.entries)), lambda: load_lexicon(toy_lex.source)):
+            lex = make()
+            lex.vowels("bat")
+            ref = weakref.ref(lex)
+            gc.disable()
+            try:
+                del lex
+                assert ref() is None
+            finally:
+                gc.enable()
