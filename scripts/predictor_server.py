@@ -25,8 +25,16 @@ from verseforge.phonetics import Lexicon, load_lexicon
 
 
 def make_handler(predictor):
+    # The last reply as (result, body). A predictor that returns the same
+    # list again (CorpusPredictor shares one immutable list per k) gets the
+    # kept body instead of a new encoding; holding the list keeps its id from
+    # being reused. The pair is swapped in one assignment, so threads need no
+    # lock: each reads one consistent pair.
+    last = (object(), b"")
+
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
+            nonlocal last
             if self.path.rstrip("/") != "/predict":
                 self.send_error(404)
                 return
@@ -42,9 +50,12 @@ def make_handler(predictor):
                 self.send_error(400, str(exc))
                 return
             result = predictor.predict(query)
-            body = json.dumps(
-                {"candidates": [{"token": t, "score": s} for t, s in result.candidates]}
-            ).encode()
+            kept, body = last
+            if result is not kept:
+                body = json.dumps(
+                    {"candidates": [{"token": t, "score": s} for t, s in result.candidates]}
+                ).encode()
+                last = (result, body)
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))

@@ -259,13 +259,14 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
         return [load_document(path, kind)]
     text = path.read_text(encoding="utf-8")
     _reject_reserved(path, text)
+    stem = path.stem
     docs = []
     for i, raw_line in enumerate(text.split("\n")):
         if not raw_line.strip():
             continue
         docs.append(
             Document(
-                id=f"{path.stem}:{i}",
+                id=f"{stem}:{i}",
                 kind=kind,
                 lines=tokenize(raw_line),
                 raw=raw_line,

@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Protocol
 
 import requests
@@ -377,34 +377,60 @@ def remote_predict(
 
 
 def _parse_response(resp: requests.Response, k: int) -> CandidateList:
-    excerpt = resp.text[:200]
     try:
         body = resp.json()
     except ValueError as exc:
-        raise PredictorProtocolError(f"response is not JSON: {excerpt!r}") from exc
+        raise PredictorProtocolError(f"response is not JSON: {_excerpt(resp)}") from exc
     if not isinstance(body, dict) or not isinstance(body.get("candidates"), list):
-        raise PredictorProtocolError(f"missing 'candidates' list: {excerpt!r}")
+        raise PredictorProtocolError(f"missing 'candidates' list: {_excerpt(resp)}")
+    pairs = _candidate_pairs(body["candidates"], resp)
+    if len(pairs) > k:
+        raise PredictorProtocolError(
+            f"{len(pairs)} candidates exceed requested k={k}: {_excerpt(resp)}"
+        )
+    try:
+        return CandidateList(pairs)
+    except ValueError as exc:
+        raise PredictorProtocolError(f"{exc}: {_excerpt(resp)}") from exc
+
+
+def _excerpt(resp: requests.Response) -> str:
+    return repr(resp.text[:200])
+
+
+def _candidate_pairs(items: list, resp: requests.Response) -> tuple[tuple[str, float], ...]:
+    """Each item's ``(token, float(score))``; a protocol error at the first bad item.
+
+    A reply is accepted in C-level passes over the whole list: exact types
+    suffice, as JSON decoding makes no subclasses. Only a reply they reject
+    (a non-dict item, a token not a ``str``, a score not an ``int`` or
+    ``float``, ``bool`` included, or beyond float range) is walked item by
+    item, to name the error of its first bad item.
+    """
+    if set(map(type, items)) <= {dict}:
+        tokens = list(map(dict.get, items, repeat("token")))
+        scores = list(map(dict.get, items, repeat("score")))
+        if set(map(type, tokens)) <= {str} and set(map(type, scores)) <= {int, float}:
+            try:
+                return tuple(zip(tokens, map(float, scores)))
+            except OverflowError:
+                pass
     pairs = []
-    for item in body["candidates"]:
+    for item in items:
         if (
             not isinstance(item, dict)
             or not isinstance(item.get("token"), str)
             or not isinstance(item.get("score"), (int, float))
             or isinstance(item["score"], bool)
         ):
-            raise PredictorProtocolError(f"malformed candidate entry: {excerpt!r}")
+            raise PredictorProtocolError(f"malformed candidate entry: {_excerpt(resp)}")
         try:
             pairs.append((item["token"], float(item["score"])))
         except OverflowError as exc:
-            raise PredictorProtocolError(f"score out of float range: {excerpt!r}") from exc
-    if len(pairs) > k:
-        raise PredictorProtocolError(
-            f"{len(pairs)} candidates exceed requested k={k}: {excerpt!r}"
-        )
-    try:
-        return CandidateList(tuple(pairs))
-    except ValueError as exc:
-        raise PredictorProtocolError(f"{exc}: {excerpt!r}") from exc
+            raise PredictorProtocolError(
+                f"score out of float range: {_excerpt(resp)}"
+            ) from exc
+    return tuple(pairs)
 
 
 @dataclass

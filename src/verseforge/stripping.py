@@ -16,7 +16,7 @@ from itertools import count
 from pathlib import Path
 from typing import IO, Iterable
 
-from .corpus import Document, Verse, is_number, is_punctuation, join_lines
+from .corpus import RESERVED_TOKENS, Document, Verse, is_number, is_punctuation, join_lines
 from .corpus import load_word_list as load_stopwords
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -70,8 +70,10 @@ class SynonymLexicon:
     def load(cls, path: str | Path) -> "SynonymLexicon":
         """Parse tab-separated ``word<TAB>syn1,syn2,...`` lines.
 
-        Synonyms that contain whitespace of any kind (multi-word phrases) and
-        self-synonyms are dropped; words left with no usable synonym, and
+        Synonyms that contain whitespace of any kind (multi-word phrases) or
+        a reserved token (``<nl>``, ``<mask>``; see
+        :data:`~verseforge.corpus.RESERVED_TOKENS`), and self-synonyms, are
+        dropped; words left with no usable synonym, and
         head words that contain whitespace (no token can match them), are
         omitted. A line whose synonym field holds a second tab is malformed
         and dropped whole.
@@ -87,7 +89,9 @@ class SynonymLexicon:
             word = word.strip().lower()
             syns = tuple(
                 s for s in (p.strip().lower() for p in tail.split(","))
-                if s != word and len(s.split()) == 1
+                if s != word
+                and len(s.split()) == 1
+                and not any(tok in s for tok in RESERVED_TOKENS)
             )
             if len(word.split()) == 1 and syns:
                 entries[word] = syns

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from verseforge.corpus import Verse
+from verseforge.enhance import CandidateList, PredictorProtocolError
 from verseforge.phonetics import (
     _VARIANT_RE,
     LexiconFormatError,
@@ -77,6 +78,42 @@ def reference_load_lexicon(path: str | Path) -> Lexicon:
                 continue
             entries[word] = tuple(strip_stress(p) for p in parts[1:])
     return Lexicon(entries=entries, source=str(path))
+
+
+def reference_parse_response(resp, k: int) -> CandidateList:
+    """Reference: the remote reply parse that checks one candidate at a time.
+
+    It decodes as the client does (``resp.json()``) and raises the client's
+    messages, so a test can compare both on any reply body.
+    """
+    excerpt = resp.text[:200]
+    try:
+        body = resp.json()
+    except ValueError as exc:
+        raise PredictorProtocolError(f"response is not JSON: {excerpt!r}") from exc
+    if not isinstance(body, dict) or not isinstance(body.get("candidates"), list):
+        raise PredictorProtocolError(f"missing 'candidates' list: {excerpt!r}")
+    pairs = []
+    for item in body["candidates"]:
+        if (
+            not isinstance(item, dict)
+            or not isinstance(item.get("token"), str)
+            or not isinstance(item.get("score"), (int, float))
+            or isinstance(item["score"], bool)
+        ):
+            raise PredictorProtocolError(f"malformed candidate entry: {excerpt!r}")
+        try:
+            pairs.append((item["token"], float(item["score"])))
+        except OverflowError as exc:
+            raise PredictorProtocolError(f"score out of float range: {excerpt!r}") from exc
+    if len(pairs) > k:
+        raise PredictorProtocolError(
+            f"{len(pairs)} candidates exceed requested k={k}: {excerpt!r}"
+        )
+    try:
+        return CandidateList(tuple(pairs))
+    except ValueError as exc:
+        raise PredictorProtocolError(f"{exc}: {excerpt!r}") from exc
 
 
 def uncached_vowels(word: str, lex: Lexicon) -> tuple[str, ...]:

@@ -244,6 +244,18 @@ class TestPairCommand:
         assert code == 0 and out == ""
         assert len(out_path.read_text().splitlines()) == 2
 
+    def test_reserved_token_synonyms_stay_out_of_the_source(self, capsys, tmp_path):
+        verse = tmp_path / "ok.txt"
+        verse.write_text("we ride at night\nthe day is bright\nwe go slow\nwe hold the flow\n")
+        table = tmp_path / "syn.tsv"
+        table.write_text("ride\t<nl>\nnight\t<MASK>\n")
+        code, out, _ = run_cli(
+            capsys, "pair", verse, "--noise", "synonym", "--synonym-rate", "1",
+            "--synonyms", table,
+        )
+        assert code == 0
+        assert json.loads(out)["source"] == "ride night <nl> day bright <nl> go slow <nl> hold flow"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,25 +1,33 @@
 """Remote masked-predictor client against a scripted loopback HTTP stub."""
 
+import contextlib
 import http.client
 import importlib.util
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+import requests
+from hypothesis import example, given, settings, strategies as st
 
 from verseforge.corpus import Verse
 from verseforge.enhance import (
+    CandidateList,
     EnhanceConfig,
     PredictorProtocolError,
     PredictorQuery,
     PredictorRetryableError,
     RemotePredictor,
+    _parse_response,
     enhance_verse,
     remote_predict,
 )
+
+from conftest import reference_parse_response
 
 
 class StubServer:
@@ -172,6 +180,95 @@ def test_k_bound_enforced():
             remote_predict(stub.endpoint, QUERY)
 
 
+def _reply(body: bytes) -> requests.Response:
+    """A 200 reply as ``requests`` builds it for an ``application/json`` body."""
+    resp = requests.Response()
+    resp.status_code = 200
+    resp.headers["Content-Type"] = "application/json"
+    resp.encoding = requests.utils.get_encoding_from_headers(resp.headers)
+    resp._content = body
+    return resp
+
+
+def _outcome(parse, body: bytes, k: int):
+    try:
+        return repr(parse(_reply(body), k))
+    except PredictorProtocolError as exc:
+        return type(exc.__cause__), str(exc)
+
+
+# JSON text of a token or a score: well-formed values, the other JSON
+# types, and numbers a float cannot hold (NaN, infinities, huge integers).
+_TOKENS = st.one_of(
+    st.text(max_size=6).map(json.dumps),
+    st.sampled_from(["5", "1.5", "true", "false", "null", "[]", '{"a": 1}']),
+)
+_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.integers(-1000, 1000).map(str),
+    st.integers(10**308, 10**320).map(str),
+    st.integers(10**308, 10**320).map(lambda n: str(-n)),
+    st.sampled_from(
+        ["NaN", "Infinity", "-Infinity", "1e400", "true", "false", "null", '"2.0"', "[]"]
+    ),
+)
+
+
+@st.composite
+def _items(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["1", '"food"', "null", "true", "[]", '[{"token": "a"}]']))
+    fields = []
+    if draw(st.booleans()):
+        fields.append(f'"token": {draw(_TOKENS)}')
+    if draw(st.booleans()):
+        fields.append(f'"score": {draw(_SCORES)}')
+    if draw(st.booleans()):
+        fields.append('"extra": 1')
+    return "{" + ", ".join(draw(st.permutations(fields))) + "}"
+
+
+@st.composite
+def _sorted_items(draw):
+    scores = draw(st.lists(st.integers(-5, 5) | st.floats(-5, 5), max_size=10))
+    scores.sort(reverse=True)
+    return [
+        json.dumps({"token": draw(st.text(max_size=4)), "score": score}) for score in scores
+    ]
+
+
+def _candidates_body(items) -> bytes:
+    return ('{"candidates": [' + ", ".join(items) + "]}").encode()
+
+
+# Numbers only, so whole lists get to the order and finiteness checks.
+_WELL_TYPED_ITEMS = st.builds(
+    '{{"token": {}, "score": {}}}'.format,
+    st.text(max_size=4).map(json.dumps),
+    (st.floats() | st.integers(-5, 5)).map(json.dumps),
+)
+
+_BODIES = st.one_of(
+    st.lists(_items(), max_size=10).map(_candidates_body),
+    st.lists(_WELL_TYPED_ITEMS, max_size=10).map(_candidates_body),
+    _sorted_items().map(_candidates_body),
+    st.sampled_from([b"", b"not json", b"\xff", b"[]", b"{}", b'{"candidates": {}}', b"null"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(body=_BODIES, k=st.integers(1, 8))
+@example(body=_candidates_body([]), k=1)
+@example(body=_candidates_body(['{"token": "a", "score": 1%s}' % ("0" * 400), "5"]), k=5)
+@example(body=_candidates_body(["5", '{"token": "a", "score": 1%s}' % ("0" * 400)]), k=5)
+@example(body=_candidates_body(['{"token": "a", "score": 1e400}', "5"]), k=5)
+@example(
+    body=_candidates_body(['{"token": "a", "score": 1}', '{"token": "b", "score": 2}']), k=1
+)
+def test_reply_parse_matches_reference(body, k):
+    assert _outcome(_parse_response, body, k) == _outcome(reference_parse_response, body, k)
+
+
 def test_4xx_is_protocol_error_not_retried():
     with StubServer([(404, {}), (404, {})]) as stub:
         with pytest.raises(PredictorProtocolError, match="404"):
@@ -240,12 +337,11 @@ def _load_predictor_server():
     return module
 
 
-@pytest.fixture
-def predictor_server():
-    """Address of ``scripts/predictor_server.py``'s handler on a loopback port."""
-    script = _load_predictor_server()
-    predictor = script.build_corpus_predictor([Verse([["day", "way"], ["play", "day"]])])
-    server = ThreadingHTTPServer(("127.0.0.1", 0), script.make_handler(predictor))
+@contextlib.contextmanager
+def _serving(predictor):
+    """Serve ``scripts/predictor_server.py``'s handler over ``predictor`` on loopback."""
+    handler = _load_predictor_server().make_handler(predictor)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
     )
@@ -257,6 +353,15 @@ def predictor_server():
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def predictor_server():
+    """Address of ``scripts/predictor_server.py``'s handler on a loopback port."""
+    script = _load_predictor_server()
+    predictor = script.build_corpus_predictor([Verse([["day", "way"], ["play", "day"]])])
+    with _serving(predictor) as address:
+        yield address
 
 
 def _post(address, body: bytes, length: str | None = None):
@@ -292,3 +397,95 @@ def test_predictor_server_rejects_bad_mask_index_or_k(predictor_server, mask_ind
     status, body = _post(predictor_server, json.dumps(valid).encode())
     assert status == 200
     assert [c["token"] for c in json.loads(body)["candidates"]] == ["day", "way", "play"]
+
+
+def _predict_body(k: int) -> bytes:
+    return json.dumps({"tokens": ["<mask>"], "mask_index": 0, "k": k}).encode()
+
+
+def test_predictor_server_repeats_one_body_for_a_repeated_query(predictor_server):
+    first = _post(predictor_server, _predict_body(3))
+    second = _post(predictor_server, _predict_body(3))
+    assert first == second
+    assert json.loads(first[1]) == {
+        "candidates": [
+            {"token": "day", "score": 1.2},
+            {"token": "way", "score": 1.1},
+            {"token": "play", "score": 0.1},
+        ]
+    }
+
+
+def test_predictor_server_answers_alternating_k_with_each_top_k(predictor_server):
+    for k in (3, 2, 3, 1, 2, 2, 3):
+        status, body = _post(predictor_server, _predict_body(k))
+        assert status == 200
+        tokens = [c["token"] for c in json.loads(body)["candidates"]]
+        assert tokens == ["day", "way", "play"][:k]
+
+
+def test_predictor_server_threads_never_mix_bodies():
+    # More client threads than cores, each alternating k, so the server's
+    # handler threads keep swapping the kept reply while others read it.
+    # Long lists keep each encoding slow enough for threads to overlap it.
+    script = _load_predictor_server()
+    words = [f"w{i:03d}" for i in range(300)]
+    predictor = script.build_corpus_predictor(
+        [Verse([words[i:i + 10]]) for i in range(0, 300, 10)]
+    )
+    ks = (100, 200, 300)
+    mismatches = []
+    with _serving(predictor) as address:
+        expected = {k: _post(address, _predict_body(k)) for k in ks}
+
+        def client(offset):
+            for i in range(100):
+                k = ks[(i + offset) % 3]
+                reply = _post(address, _predict_body(k))
+                if reply != expected[k]:
+                    mismatches.append((k, reply))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [k for k, _ in mismatches] == []
+    assert {len(json.loads(expected[k][1])["candidates"]) for k in ks} == set(ks)
+
+
+def test_predictor_server_encodes_each_new_list():
+    class FreshPredictor:
+        """Returns a new list, with new scores, for every query of one k.
+
+        It keeps only the last list's id, and makes each new list at that
+        address if it can (a freed object's memory is soon reused), so a
+        server that kept ids instead of lists would send a stale body.
+        """
+
+        def __init__(self):
+            self.calls = 0
+            self.last_id = None
+
+        def predict(self, query):
+            self.calls += 1
+            made = []
+            for _ in range(1000):
+                made.append(CandidateList((("day", float(self.calls)), ("way", 0.0))))
+                if id(made[-1]) == self.last_id:
+                    break
+            self.last_id = id(made[-1])
+            return made[-1]
+
+    with _serving(FreshPredictor()) as address:
+        scores = [
+            json.loads(_post(address, _predict_body(2))[1])["candidates"][0]["score"]
+            for _ in range(20)
+        ]
+    assert scores == [float(n) for n in range(1, 21)]

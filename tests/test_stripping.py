@@ -215,6 +215,25 @@ class TestSynonymLexiconLoad:
         )
         assert SynonymLexicon.load(path).entries == {"padded": ("large",)}
 
+    def test_reserved_token_synonyms_dropped(self, tmp_path):
+        # <nl> and <mask> have no escape in the flat format: as a synonym,
+        # either would put a line break or a mask into a training source.
+        path = tmp_path / "syn.tsv"
+        path.write_text(
+            "ride\t<nl>\n"
+            "night\t<MASK>\n"
+            "day\tx<nl>y,sun\n"
+            "go\t<Mask>,move\n"
+            "hold\t<,>,keep\n",
+            encoding="utf-8",
+        )
+        lex = SynonymLexicon.load(path)
+        assert lex.entries == {"day": ("sun",), "go": ("move",), "hold": ("<", ">", "keep")}
+        cw = extract_content_words(doc_from("we ride at night\nthe day is bright"), frozenset())
+        noised = noise_synonym(cw, lex, NoiseConfig(synonym_rate=1.0, seed=0))
+        source = emit_training_pair(noised, Verse([["x"]]), io.StringIO())["source"]
+        assert source == "we ride at night <nl> the sun is bright"
+
     def test_bundled_sample_loads(self):
         lex = SynonymLexicon.load(DATA_DIR.parent.parent / "src/verseforge/data/synonyms_sample.tsv")
         assert lex.get("money") == ("cash", "dough")
