@@ -453,10 +453,10 @@ def _cmd_retrieve(args) -> None:
             index = build_vector_index(docs, load_word_vectors(args.vectors))
         else:
             index = build_index(docs)
-        if args.save_index:
-            save_index(index, args.save_index)
     else:
         raise ConfigError("retrieve requires --index-dir or --corpus")
+    if args.save_index:
+        save_index(index, args.save_index)
     query = load_document(args.query, "news")
     for i, sim in retrieve_indices(index, query, args.k):
         _emit({"id": index.doc_ids[i], "similarity": sim})
@@ -571,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrieve.add_argument("--index-dir", help="persisted index directory")
     p_retrieve.add_argument("--corpus", help="corpus to index ad hoc")
     p_retrieve.add_argument("--kind", default="lyrics", choices=KINDS)
-    p_retrieve.add_argument("--save-index", help="persist the ad hoc index here")
+    p_retrieve.add_argument("--save-index", help="persist the built or loaded index here")
     p_retrieve.add_argument("--vectors", help="word-vector text file (word v1 ... vd)")
     p_retrieve.add_argument(
         "--split-verses", action="store_true",

@@ -251,6 +251,8 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
     line, and a line ends at a newline only: U+2028, U+0085 or a form
     feed inside it stays in its document. As in :func:`load_document`, a
     line holding a reserved token raises ValueError naming file and line.
+    The documents of one prose file share one string object per distinct
+    token.
     """
     path = Path(path)
     if path.is_dir():
@@ -260,6 +262,7 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
     text = path.read_text(encoding="utf-8")
     _reject_reserved(path, text)
     stem = path.stem
+    shared: dict[str, str] = {}
     docs = []
     for i, raw_line in enumerate(text.split("\n")):
         if not raw_line.strip():
@@ -268,7 +271,7 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
             Document(
                 id=f"{stem}:{i}",
                 kind=kind,
-                lines=tokenize(raw_line),
+                lines=[list(map(shared.setdefault, line, line)) for line in tokenize(raw_line)],
                 raw=raw_line,
             )
         )

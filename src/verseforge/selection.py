@@ -17,6 +17,7 @@ import math
 import operator
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -207,32 +208,33 @@ def build_index(
     stays valid and all similarities are 0.
     """
     index = _new_index(docs, stopwords)
-    token_lists = [
-        [t for t in _tokens_of(d) if t not in index.stopwords] for d in docs
-    ]
-    df: dict[str, int] = {}
-    for tokens in token_lists:
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
-    index.df = {t: c for t, c in df.items() if c >= min_df}
-    index.vocabulary = {term: dim for dim, term in enumerate(sorted(index.df))}
-    index.vectors = [
-        dict(sorted(_weigh(tokens, index.vocabulary, index.df, index.n_docs).items()))
-        for tokens in token_lists
-    ]
+    is_stopword = index.stopwords.__contains__
+    counts = [Counter(itertools.filterfalse(is_stopword, _tokens_of(d))) for d in docs]
+    df = Counter(itertools.chain.from_iterable(counts))
+    index.df = {t: df[t] for t in sorted(df) if df[t] >= min_df}
+    index.vocabulary = {term: dim for dim, term in enumerate(index.df)}
+    terms = _terms(index, index.df)
+    counts.reverse()  # pop() frees each count once its vector is built
+    index.vectors = [dict(sorted(_weigh(counts.pop(), terms).items())) for _ in docs]
     return index
 
 
-def _weigh(
-    tokens: list[str], vocabulary: dict[str, int], df: dict[str, int], n: int
-) -> dict[int, float]:
-    counts: dict[str, int] = {}
-    for t in tokens:
-        if t in vocabulary:
-            counts[t] = counts.get(t, 0) + 1
-    vec = {
-        vocabulary[t]: c * math.log(n / df[t]) for t, c in counts.items()
-    }
+def _terms(index: RetrievalIndex, words) -> dict[str, tuple[int, float]]:
+    """Dimension and idf of each vocabulary term among ``words``."""
+    vocabulary, df, n = index.vocabulary, index.df, index.n_docs
+    return {t: (vocabulary[t], math.log(n / df[t])) for t in words if t in vocabulary}
+
+
+def _weigh(counts: Counter, terms: dict[str, tuple[int, float]]) -> dict[int, float]:
+    """The normalized TF-IDF vector of ``counts``, in the order of ``counts``.
+
+    The norm sums in that order, which fixes the bits of every weight.
+    """
+    vec = {}
+    for t, c in counts.items():
+        if t in terms:
+            dim, idf = terms[t]
+            vec[dim] = c * idf
     return _normalize(vec)
 
 
@@ -299,8 +301,9 @@ def _query_vector(index: RetrievalIndex, query) -> dict[int, float]:
     tokens = _tokens_of(query)
     if index.word_vectors is not None:
         return _embed(tokens, index.word_vectors, index.stopwords)
-    # No stopword is in the vocabulary, and _weigh counts vocabulary terms only.
-    return _weigh(tokens, index.vocabulary, index.df, index.n_docs)
+    # No stopword is in the vocabulary, and _weigh weighs vocabulary terms only.
+    counts = Counter(tokens)
+    return _weigh(counts, _terms(index, counts))
 
 
 # In any order, a float sum of n non-negative terms is within a relative
@@ -408,15 +411,26 @@ def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
             fh.write(f"{_escape(doc_id)} {pairs}".rstrip() + "\n")
 
 
+class _DimTexts(dict):
+    """Dimension text -> the vocabulary's int; other text goes through int()."""
+
+    __missing__ = staticmethod(int)
+
+
 def load_index(dir_path: str | Path) -> RetrievalIndex:
     """Load a persisted TF-IDF index; documents come back as bare ids.
 
     Line n of vocabulary.tsv holds dimension n-1 of a new term, with a
     document frequency in ``1..N``; vectors.txt dimensions must be below
-    ``V``, weights in [0, 1] and squared norms at most 1 (plus rounding),
-    as in any L2-normalized vector, so every similarity is a cosine.
-    Percent-encoded ids and terms are decoded. A malformed file raises
-    ValueError naming the file and line.
+    ``V`` and appear at most once per line, weights in [0, 1] and squared
+    norms at most 1 (plus rounding), as in any L2-normalized vector, so
+    every similarity is a cosine. Percent-encoded ids and terms are
+    decoded. A malformed file raises ValueError naming the file and line.
+
+    A dimension written as :func:`save_index` writes it is keyed by the
+    vocabulary's own ``int``. Each line of vectors.txt is dropped once
+    parsed, so the file's lines and the parsed index are never held
+    together.
     """
     dir_path = Path(dir_path)
     vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
@@ -439,12 +453,17 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
             raise ValueError(f"{vocab_path}:{dim + 1}: {exc}") from None
         vocabulary[term] = dim
         df[term] = count
+    del vocab_lines
+    dims = _DimTexts((str(dim), dim) for dim in vocabulary.values())
     doc_ids: list[str] = []
     vectors: list[dict[int, float]] = []
-    for lineno, raw in enumerate(vector_lines, start=1):
-        parts = raw.split(" ")
+    vector_lines.reverse()  # pop() hands the lines out in file order
+    for lineno in range(1, n_docs + 1):
+        parts = vector_lines.pop().split(" ")
         try:
-            vec = {int(d): float(w) for d, w in (p.split(":") for p in parts[1:])}
+            vec = {dims[d]: float(w) for d, w in (p.split(":") for p in parts[1:])}
+            if len(vec) < len(parts) - 1:
+                raise ValueError(f"repeated dimension {_first_repeat(parts[1:])}")
             if vec and (min(vec) < 0 or max(vec) >= n_dims):
                 raise ValueError(f"dimension outside 0..{n_dims - 1}")
             weights = vec.values()
@@ -466,3 +485,14 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
         df=df,
         n_docs=n_docs,
     )
+
+
+def _first_repeat(pairs: list[str]) -> int | None:
+    """The first dimension of ``dim:weight`` pairs that an earlier pair holds."""
+    seen = set()
+    for pair in pairs:
+        dim = int(pair.split(":")[0])
+        if dim in seen:
+            return dim
+        seen.add(dim)
+    return None

@@ -1,5 +1,8 @@
+import math
+import operator
 import random
 from pathlib import Path
+from urllib.parse import unquote
 
 import pytest
 
@@ -14,6 +17,14 @@ from verseforge.phonetics import (
     load_lexicon,
     strip_stress,
     transcribe,
+)
+from verseforge.selection import (
+    VECTORS_FILE,
+    VOCAB_FILE,
+    RetrievalIndex,
+    _new_index,
+    _normalize,
+    _tokens_of,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -114,6 +125,102 @@ def reference_parse_response(resp, k: int) -> CandidateList:
         return CandidateList(tuple(pairs))
     except ValueError as exc:
         raise PredictorProtocolError(f"{exc}: {excerpt!r}") from exc
+
+
+def reference_weigh(
+    tokens: list[str], vocabulary: dict[str, int], df: dict[str, int], n: int
+) -> dict[int, float]:
+    """Reference: the TF-IDF vector of ``tokens``, counted and weighed term by term."""
+    counts: dict[str, int] = {}
+    for t in tokens:
+        if t in vocabulary:
+            counts[t] = counts.get(t, 0) + 1
+    return _normalize({vocabulary[t]: c * math.log(n / df[t]) for t, c in counts.items()})
+
+
+def reference_build_index(
+    docs: list, min_df: int = 1, stopwords: frozenset[str] | None = None
+) -> RetrievalIndex:
+    """Reference: the TF-IDF builder that keeps every filtered token list.
+
+    It computes each idf once per document that holds the term.
+    """
+    index = _new_index(docs, stopwords)
+    token_lists = [
+        [t for t in _tokens_of(d) if t not in index.stopwords] for d in docs
+    ]
+    df: dict[str, int] = {}
+    for tokens in token_lists:
+        for term in set(tokens):
+            df[term] = df.get(term, 0) + 1
+    index.df = {t: c for t, c in df.items() if c >= min_df}
+    index.vocabulary = {term: dim for dim, term in enumerate(sorted(index.df))}
+    index.vectors = [
+        dict(sorted(reference_weigh(tokens, index.vocabulary, index.df, index.n_docs).items()))
+        for tokens in token_lists
+    ]
+    return index
+
+
+def reference_load_index(dir_path: str | Path) -> RetrievalIndex:
+    """Reference: the index loader that holds every line of both files.
+
+    It parses each dimension with ``int()``, so every key is a new ``int``,
+    and rejects a line that repeats a dimension once the line has parsed,
+    raising :func:`load_index`'s messages.
+    """
+    dir_path = Path(dir_path)
+    vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
+    vocab_lines = vocab_path.read_text(encoding="utf-8").splitlines()
+    vector_lines = vectors_path.read_text(encoding="utf-8").splitlines()
+    n_dims, n_docs = len(vocab_lines), len(vector_lines)
+    vocabulary: dict[str, int] = {}
+    df: dict[str, int] = {}
+    for dim, raw in enumerate(vocab_lines):
+        try:
+            term, stored_dim, count = raw.split("\t")
+            term, stored_dim, count = unquote(term), int(stored_dim), int(count)
+            if stored_dim != dim:
+                raise ValueError(f"dimension {stored_dim}, expected {dim}")
+            if term in vocabulary:
+                raise ValueError(f"duplicate term {term!r}")
+            if not 1 <= count <= n_docs:
+                raise ValueError(f"document frequency {count} outside 1..{n_docs}")
+        except ValueError as exc:
+            raise ValueError(f"{vocab_path}:{dim + 1}: {exc}") from None
+        vocabulary[term] = dim
+        df[term] = count
+    doc_ids: list[str] = []
+    vectors: list[dict[int, float]] = []
+    for lineno, raw in enumerate(vector_lines, start=1):
+        parts = raw.split(" ")
+        try:
+            vec = {int(d): float(w) for d, w in (p.split(":") for p in parts[1:])}
+            dims = [int(p.split(":")[0]) for p in parts[1:]]
+            repeated = [d for i, d in enumerate(dims) if d in dims[:i]]
+            if repeated:
+                raise ValueError(f"repeated dimension {repeated[0]}")
+            if vec and (min(vec) < 0 or max(vec) >= n_dims):
+                raise ValueError(f"dimension outside 0..{n_dims - 1}")
+            weights = vec.values()
+            if not all(map(math.isfinite, weights)) or (
+                vec and (min(weights) < 0.0 or max(weights) > 1.0)
+            ):
+                raise ValueError("weights must be finite, non-negative and at most 1")
+            if sum(map(operator.mul, weights, weights)) > 1.0 + 1e-9:
+                raise ValueError("vector norm above 1")
+        except ValueError as exc:
+            raise ValueError(f"{vectors_path}:{lineno}: {exc}") from None
+        doc_ids.append(unquote(parts[0]))
+        vectors.append(vec)
+    return RetrievalIndex(
+        doc_ids=doc_ids,
+        documents=list(doc_ids),
+        vectors=vectors,
+        vocabulary=vocabulary,
+        df=df,
+        n_docs=n_docs,
+    )
 
 
 def uncached_vowels(word: str, lex: Lexicon) -> tuple[str, ...]:

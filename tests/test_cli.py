@@ -468,6 +468,33 @@ class TestRetrieveCommand:
         for a, b in zip(results, results2):
             assert a["similarity"] == pytest.approx(b["similarity"], abs=1e-12)
 
+    def test_loaded_index_saves_byte_identical(self, capsys, tmp_path):
+        query = tmp_path / "query.txt"
+        query.write_text("rain on the window pane\n")
+        built, resaved = tmp_path / "built", tmp_path / "resaved"
+        code, out, _ = run_cli(
+            capsys, "retrieve", "--query", query, "--corpus", MINI, "--save-index", built
+        )
+        assert code == 0
+        code, out2, _ = run_cli(
+            capsys, "retrieve", "--query", query, "--index-dir", built, "--save-index", resaved
+        )
+        assert code == 0 and out2 == out
+        for name in ("vocabulary.tsv", "vectors.txt"):
+            assert (resaved / name).read_bytes() == (built / name).read_bytes()
+
+    def test_word_vector_index_cannot_be_saved(self, capsys, tmp_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("rain 1.0 0.0\nnight 0.0 1.0\n")
+        idx_dir = tmp_path / "idx"
+        code, out, err = run_cli(
+            capsys, "retrieve", "--query", MINI / "doc_a.txt", "--corpus", MINI,
+            "--vectors", vectors, "--save-index", idx_dir,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "only TF-IDF indexes support persistence"}
+        assert not idx_dir.exists()
+
     @pytest.mark.parametrize(
         "file, lineno, line, problem",
         [
@@ -490,6 +517,8 @@ class TestRetrieveCommand:
             ("vectors.txt", 2, "d1 0:0.8 1:0.6000001", "norm above 1"),
             ("vectors.txt", 1, "d0 0=0.5", "not enough values"),
             ("vectors.txt", 1, "d0 0:x", "could not convert"),
+            ("vectors.txt", 1, "d0 0:0.9 0:0.1", "repeated dimension 0"),
+            ("vectors.txt", 2, "d1 1:0.6 0:0.1 +1:0.1", "repeated dimension 1"),
         ],
     )
     def test_malformed_index_is_a_json_error(self, capsys, tmp_path, file, lineno, line, problem):

@@ -331,6 +331,18 @@ class TestLoaders:
         assert docs[0].raw == "first story here\u2028still the first story"
         assert docs[0].lines == [["first", "story", "here"], ["still", "the", "first", "story"]]
 
+    def test_prose_documents_share_token_strings(self, tmp_path):
+        path = tmp_path / "news.txt"
+        path.write_text(
+            "The storm hit (the coast)\nstorm warnings\u2028for the coast\n", encoding="utf-8"
+        )
+        docs = load_corpus(path, "news")
+        assert [d.lines for d in docs] == [tokenize(d.raw) for d in docs]
+        (first,), (second, third) = (d.lines for d in docs)
+        assert first[1] == "storm" and first[1] is second[0]
+        assert first[0] is first[4] is third[1]  # "the"
+        assert first[5] is third[2]  # "coast"
+
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_prose_crlf_and_cr_files_load(self, tmp_path, newline):
         path = tmp_path / "f.txt"

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +28,12 @@ from verseforge.selection import (
     save_index,
 )
 
-from conftest import random_verse
+from conftest import (
+    random_verse,
+    reference_build_index,
+    reference_load_index,
+    reference_weigh,
+)
 
 NO_STOP = frozenset()
 
@@ -155,6 +161,15 @@ class TestHypothesisIO:
             load_hypotheses(path)
 
 
+# A few terms, so that documents overlap and tie; "every" goes into each
+# document when asked (idf 0, stored 0.0 weights); "the" is the stopword.
+TERMS = ["rain", "pain", "gold", "soul", "night", "light", "sea"]
+STOP = frozenset(["the"])
+token_lists = st.lists(st.sampled_from(TERMS + ["the"]), max_size=9)
+# Many terms per document, so sums of several products can round apart.
+WIDE_TERMS = [f"t{i}" for i in range(12)]
+
+
 class TestTfIdfIndex:
     def test_single_doc_degenerate_idf(self):
         index = build_index([make_doc("cat dog", "d0")], stopwords=NO_STOP)
@@ -255,14 +270,24 @@ class TestTfIdfIndex:
         doc, sim = retrieve(index, Verse([["bat", "cat"]]))[0]
         assert doc is verses[0]
 
-
-# A few terms, so that documents overlap and tie; "every" goes into each
-# document when asked (idf 0, stored 0.0 weights); "the" is the stopword.
-TERMS = ["rain", "pain", "gold", "soul", "night", "light", "sea"]
-STOP = frozenset(["the"])
-token_lists = st.lists(st.sampled_from(TERMS + ["the"]), max_size=9)
-# Many terms per document, so sums of several products can round apart.
-WIDE_TERMS = [f"t{i}" for i in range(12)]
+    @settings(max_examples=200, deadline=None)
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from(WIDE_TERMS + ["the"]), max_size=15), min_size=1, max_size=8
+        ),
+        min_df=st.integers(1, 3),
+        query=st.lists(st.sampled_from(WIDE_TERMS + ["the", "zebra"]), max_size=12),
+    )
+    def test_matches_reference_builder(self, docs, min_df, query):
+        # Every weight keeps its bits and its place, in the index and in a query.
+        index = build_index(docs, min_df=min_df, stopwords=STOP)
+        want = reference_build_index(docs, min_df=min_df, stopwords=STOP)
+        assert list(index.vocabulary.items()) == list(want.vocabulary.items())
+        assert index.df == want.df
+        assert list(index.df) == list(index.vocabulary)
+        assert [exact(v.items()) for v in index.vectors] == [exact(v.items()) for v in want.vectors]
+        qvec = reference_weigh(query, want.vocabulary, want.df, want.n_docs)
+        assert exact(_query_vector(index, query).items()) == exact(qvec.items())
 
 
 class TestPostingsRetrieval:
@@ -321,6 +346,61 @@ class TestPostingsRetrieval:
             got = retrieve_indices(index, query, k)
             assert exact(got) == exact(scan_retrieve_indices(index, query, k))
         assert "postings" not in vars(index)
+
+
+# Texts of one vectors.txt pair. Dimensions are canonical or not (int()
+# reads "007", "+3", "3\t", "-0" and "\u0663" too); weights include
+# -0.0 and a subnormal. Each bad pair breaks one rule of load_index.
+DIM_TEXTS = ["0", "1", "2", "5", "8", "007", "+3", "3\t", "-0", "\u0663"]
+WEIGHT_TEXTS = ["0", "1", "0.1", "0.25", "0.5", "0.30000000000000004", "0.6", "0.8", "-0.0", "1e-320"]
+BAD_PAIRS = [
+    "-1:0.5", "9:0.5", "99:0.5", "x:0.5", ":0.5", "0:nan", "0:inf", "0:1e400", "0:-0.5",
+    "0:1.0000000000000002", "0:x", "0:", "0=0.5", "0:1:2",
+]
+# Ids as save_index writes them (plain and percent-encoded) and as it never
+# does: a bad escape, a lone "%" and a raw line separator.
+ID_TEXTS = ["d0", "d1", "my%20song", "50%25%09off", "%zz", "%", "a\u2028b", ""]
+VOCAB_TERMS = ["cat", "dog", "a%09b", "eel", "t4", "t5", "t6", "t7", "t8"]
+
+
+@st.composite
+def index_files(draw) -> tuple[str, str]:
+    """The text of a vocabulary.tsv and a vectors.txt: most are valid or
+    break one rule; they hold id-only lines and unsorted dimensions."""
+
+    def pair() -> str:
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(BAD_PAIRS))
+        return f"{draw(st.sampled_from(DIM_TEXTS))}:{draw(st.sampled_from(WEIGHT_TEXTS))}"
+
+    lines = [
+        " ".join([draw(st.sampled_from(ID_TEXTS)), *(pair() for _ in range(draw(st.integers(0, 3))))])
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    vectors = "".join(line + "\n" for line in lines)
+    n_docs = len(vectors.splitlines())
+    n_terms = draw(st.sampled_from([len(VOCAB_TERMS), len(VOCAB_TERMS), 0, 1, 4]))
+    vocab = [
+        [term, str(dim), str(draw(st.integers(1, max(n_docs, 1))))]
+        for dim, term in enumerate(VOCAB_TERMS[:n_terms])
+    ]
+    if vocab and draw(st.integers(0, 4)) == 0:
+        # A repeated term, a non-integer dimension, a df above N or of 0.
+        field, text = draw(st.sampled_from([(0, "dog"), (1, "x"), (2, str(n_docs + 1)), (2, "0")]))
+        draw(st.sampled_from(vocab))[field] = text
+    return "".join("\t".join(line) + "\n" for line in vocab), vectors
+
+
+def load_outcome(loader, dir_path):
+    """All a loaded index holds, weights by repr and in order; or the error message."""
+    try:
+        index = loader(dir_path)
+    except ValueError as exc:
+        return str(exc)
+    return (
+        index.doc_ids, index.documents, list(index.vocabulary.items()), list(index.df.items()),
+        index.n_docs, [exact(vec.items()) for vec in index.vectors],
+    )
 
 
 class TestPersistence:
@@ -438,6 +518,43 @@ class TestPersistence:
         assert exact(retrieve_indices(loaded, query, k)) == exact(
             retrieve_indices(index, query, k)
         )
+
+    def test_loaded_keys_are_the_vocabulary_ints(self, tmp_path):
+        # Above 256, where CPython keeps no shared int of its own.
+        docs = [[f"t{i}", f"t{i * 7 % 600}", "every"] for i in range(600)]
+        index = build_index(docs, stopwords=NO_STOP)
+        save_index(index, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx")
+        own = list(loaded.vocabulary.values())
+        assert own == list(range(len(own))) and len(own) > 300
+        assert all(d is own[d] for vec in loaded.vectors for d in vec)
+        assert loaded.vectors == index.vectors
+
+    def test_load_never_holds_the_lines_beside_the_index(self, tmp_path):
+        # Holding every vectors.txt line until the index is complete peaks
+        # above the loaded index by more than the file's size.
+        rng = random.Random(0)
+        words = [f"w{i}" for i in range(300)]
+        docs = [rng.sample(words, 20) for _ in range(3000)]
+        save_index(build_index(docs, stopwords=NO_STOP), tmp_path)
+        size = (tmp_path / "vectors.txt").stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_index(tmp_path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.vectors) == 3000
+        assert peak - retained < size / 4
+
+    @settings(max_examples=400, deadline=None)
+    @given(files=index_files())
+    def test_load_matches_reference_loader(self, files):
+        vocab, vectors = files
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "vocabulary.tsv").write_text(vocab, encoding="utf-8")
+            (Path(tmp) / "vectors.txt").write_text(vectors, encoding="utf-8")
+            assert load_outcome(load_index, tmp) == load_outcome(reference_load_index, tmp)
 
     def test_embedding_index_not_persistable(self, tmp_path):
         vectors = {"cat": [1.0, 0.0], "dog": [0.0, 1.0]}
