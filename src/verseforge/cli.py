@@ -445,14 +445,28 @@ def _cmd_rerank(args) -> None:
 def _cmd_retrieve(args) -> None:
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
+    # --corpus and the flags that shape the index built from it; a loaded
+    # index would ignore every one of them.
+    corpus_flags = [
+        flag for flag, value in (
+            ("--corpus", args.corpus), ("--vectors", args.vectors),
+            ("--split-verses", args.split_verses), ("--kind", args.kind),
+        ) if value
+    ]
     if args.index_dir:
+        if corpus_flags:
+            raise ConfigError(f"--index-dir cannot be combined with {', '.join(corpus_flags)}")
         index = load_index(args.index_dir)
     elif args.corpus:
-        docs = _verses(args.corpus) if args.split_verses else load_corpus(args.corpus, args.kind)
+        if args.split_verses and args.kind == "news":
+            raise ConfigError("--split-verses reads a lyrics corpus, not --kind news")
+        docs = _verses(args.corpus) if args.split_verses else load_corpus(args.corpus, args.kind or "lyrics")
         if args.vectors:
             index = build_vector_index(docs, load_word_vectors(args.vectors))
         else:
             index = build_index(docs)
+    elif corpus_flags:
+        raise ConfigError(f"{corpus_flags[0]} requires --corpus")
     else:
         raise ConfigError("retrieve requires --index-dir or --corpus")
     if args.save_index:
@@ -570,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrieve.add_argument("--query", required=True)
     p_retrieve.add_argument("--index-dir", help="persisted index directory")
     p_retrieve.add_argument("--corpus", help="corpus to index ad hoc")
-    p_retrieve.add_argument("--kind", default="lyrics", choices=KINDS)
+    p_retrieve.add_argument("--kind", choices=KINDS, help="corpus kind (default lyrics)")
     p_retrieve.add_argument("--save-index", help="persist the built or loaded index here")
     p_retrieve.add_argument("--vectors", help="word-vector text file (word v1 ... vd)")
     p_retrieve.add_argument(

@@ -17,13 +17,14 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Protocol
-
-import requests
+from typing import TYPE_CHECKING, Protocol
 
 from .corpus import MASK_TOKEN, NL_TOKEN, Verse, load_word_list as load_deny_list
 from .metrics import rhyme_length, rhyme_length_vowels
 from .phonetics import Lexicon
+
+if TYPE_CHECKING:
+    import requests
 
 MODES = ("first_improvement", "best_of_k")
 
@@ -347,7 +348,13 @@ def remote_predict(
     backoff (``backoff`` seconds, doubling); a malformed or unsorted
     response, or one with a non-finite score, raises a protocol error
     immediately.
+
+    ``requests`` is imported on the first call, not with the package: no
+    other path needs the HTTP stack. ``requests.post`` is looked up on the
+    module at each attempt, so a patched ``post`` sees every one.
     """
+    import requests
+
     payload = {
         "tokens": list(query.tokens),
         "mask_index": query.mask_index,

@@ -437,6 +437,56 @@ class TestRetrieveCommand:
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "retrieve requires --index-dir or --corpus"}
 
+    @pytest.mark.parametrize(
+        "extra, clash",
+        [
+            (["--corpus", MINI], "--corpus"),
+            (["--vectors", "/nonexistent.txt"], "--vectors"),
+            (["--split-verses"], "--split-verses"),
+            (["--kind", "lyrics"], "--kind"),
+            (["--kind", "news"], "--kind"),
+            (["--corpus", "/nonexistent", "--vectors", "/nonexistent.txt", "--split-verses"],
+             "--corpus, --vectors, --split-verses"),
+        ],
+    )
+    def test_index_dir_rejects_corpus_flags(self, capsys, tmp_path, extra, clash):
+        # A loaded index would ignore each of these flags.
+        idx_dir = tmp_path / "idx"
+        query = MINI / "doc_a.txt"
+        assert run_cli(capsys, "retrieve", "--query", query, "--corpus", MINI, "--save-index", idx_dir)[0] == 0
+        code, out, err = run_cli(
+            capsys, "retrieve", "--index-dir", idx_dir, *extra, "--query", query, "--k", "2"
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"--index-dir cannot be combined with {clash}"}
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--vectors", "/nonexistent.txt"], "--vectors"),
+            (["--split-verses"], "--split-verses"),
+            (["--kind", "news"], "--kind"),
+        ],
+    )
+    def test_corpus_flags_require_corpus(self, capsys, extra, flag):
+        code, out, err = run_cli(capsys, "retrieve", "--query", MINI / "doc_a.txt", *extra)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"{flag} requires --corpus"}
+
+    def test_split_verses_rejects_news_kind(self, capsys):
+        code, out, err = run_cli(
+            capsys, "retrieve", "--query", MINI / "doc_a.txt", "--corpus", MINI,
+            "--split-verses", "--kind", "news",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "--split-verses reads a lyrics corpus, not --kind news"}
+
+    def test_kind_defaults_to_lyrics(self, capsys):
+        argv = ("retrieve", "--query", MINI / "doc_a.txt", "--corpus", MINI, "--k", "3")
+        code, default, _ = run_cli(capsys, *argv)
+        assert code == 0 and default
+        assert run_cli(capsys, *argv, "--kind", "lyrics")[:2] == (0, default)
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_an_error(self, capsys, tmp_path, k):
         # Checked before any index is built or saved.
