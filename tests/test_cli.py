@@ -138,6 +138,10 @@ class TestLoadConfig:
         [
             ({"noise": "loud"}, "unknown noise type 'loud'"),
             ({"predictor": "oracle"}, "unknown predictor 'oracle'"),
+            ({"enhance": {"k": 0}}, "k must be >= 1"),
+            ({"enhance": {"mode": "bogus"}},
+             "mode must be one of ('first_improvement', 'best_of_k'), got 'bogus'"),
+            ({"rhyme": {"lookback_window": 0}}, "lookback_window must be >= 1"),
         ],
     )
     def test_value_outside_choices_rejected(self, tmp_path, data, message):
@@ -367,6 +371,7 @@ class TestGoldenOutput:
              ["rerank", "--hypotheses", DATA_DIR / "rerank_punct.jsonl", "--lexicon", LEXICON]),
             # doc_c's two-line chorus is dropped.
             ("golden_corpus_split.jsonl", ["corpus", "split", MINI]),
+            ("golden_corpus_stats.jsonl", ["corpus", "stats", MINI]),
             ("golden_strip_drop.jsonl", ["strip", MINI, "--noise", "drop", "--seed", "3"]),
             ("golden_strip_synonym.jsonl",
              ["strip", MINI, "--noise", "synonym", "--synonym-rate", "0.5", "--seed", "1",

@@ -283,9 +283,14 @@ class TestCorpusStats:
         assert stats.tokens_per_doc == (10.0, 0.0)
         assert stats.tokens_per_sentence == (5.0, 0.0)
 
-    def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpusError, match="empty corpus"):
-            corpus_stats([])
+    @pytest.mark.parametrize(
+        "raws, message",
+        [([], "empty corpus"), (["", "\n\n"], "empty corpus: no sentences")],
+    )
+    def test_empty_corpus(self, raws, message):
+        with pytest.raises(EmptyCorpusError) as info:
+            corpus_stats([make_doc(raw, doc_id=str(i)) for i, raw in enumerate(raws)])
+        assert str(info.value) == message
 
     def test_permutation_invariant(self):
         docs = [make_doc(f"w{i} " * (i + 1), doc_id=str(i)) for i in range(4)]

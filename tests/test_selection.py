@@ -121,6 +121,20 @@ class TestHypothesisIO:
         assert hyp.generator_rank == 3
         assert hyp.verse.lines == [["bat", "cat"], ["day", "way"]]
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([0, "a"], "expected a JSON object, got list"),
+            ({"rank": 0}, "record lacks 'text'"),
+            ({"rank": True, "text": "a"}, "rank must be an integer, got True"),
+            ({"rank": 0, "text": ["a"]}, "text must be a string, got list"),
+        ],
+    )
+    def test_malformed_record_rejected(self, record, message):
+        with pytest.raises(ValueError) as info:
+            hypothesis_from_record(record)
+        assert str(info.value) == message
+
     def test_load_batch(self, tmp_path):
         path = tmp_path / "hyps.jsonl"
         path.write_text(
