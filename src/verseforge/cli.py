@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from statistics import mean, pstdev
 from urllib.parse import urlsplit
@@ -76,9 +76,9 @@ class PipelineConfig:
     deny_path: str | None = None
     corpus_path: str | None = None
     noise: str = "shuffle"
-    seed: int = 0
-    drop_rate: float = 0.20
-    synonym_rate: float = 0.20
+    seed: int = NoiseConfig.seed
+    drop_rate: float = NoiseConfig.drop_rate
+    synonym_rate: float = NoiseConfig.synonym_rate
     rhyme: RhymeConfig = field(default_factory=RhymeConfig)
     enhance: EnhanceConfig = field(default_factory=EnhanceConfig)
     predictor: str = "corpus"
@@ -144,28 +144,22 @@ def load_config(
             raise ConfigError(f"config {path} must hold a JSON object")
     _check_keys(data, PipelineConfig)
 
+    defaults = _config_defaults(PipelineConfig)
     merged = dict(data)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key in ("rhyme", "enhance"):
-            nested = dict(merged.get(key, {}))
-            nested.update({k: v for k, v in value.items() if v is not None})
-            merged[key] = nested
-        else:
-            merged[key] = value
-
-    rhyme_kwargs = dict(merged.pop("rhyme", {}))
-    enhance_kwargs = dict(merged.pop("enhance", {}))
-    if "mode" in enhance_kwargs:
-        mode = enhance_kwargs["mode"]
-        enhance_kwargs["mode"] = _MODE_ALIASES.get(mode, mode)
+        if is_dataclass(defaults.get(key)):
+            value = {**merged.get(key, {}), **{k: v for k, v in value.items() if v is not None}}
+        merged[key] = value
+    mode = merged.get("enhance", {}).get("mode")
+    if mode in _MODE_ALIASES:
+        merged["enhance"] = {**merged["enhance"], "mode": _MODE_ALIASES[mode]}
     try:
-        cfg = PipelineConfig(
-            rhyme=RhymeConfig(**rhyme_kwargs),
-            enhance=EnhanceConfig(**enhance_kwargs),
-            **merged,
-        )
+        for key, default in defaults.items():
+            if key in merged and is_dataclass(default):
+                merged[key] = type(default)(**merged[key])
+        cfg = PipelineConfig(**merged)
         validate_config(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -181,7 +175,11 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError("predictor 'remote' requires an endpoint")
     if cfg.predictor == "remote":
         url = urlsplit(cfg.endpoint)  # ValueError on, e.g., an unclosed "[" IPv6 literal
-        if url.scheme not in ("http", "https") or not url.hostname:
+        try:
+            port = url.port  # None when the URL names no port
+        except ValueError:  # not a number, or beyond 65535
+            port = 0
+        if url.scheme not in ("http", "https") or not url.hostname or port == 0:
             raise ConfigError(f"endpoint must be an http(s) URL with a host, got {cfg.endpoint!r}")
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -251,7 +249,6 @@ def _verses(path: str, min_lines: int = 4) -> list[Verse]:
 class PipelineRuntime:
     """Config with its referenced resources loaded once."""
 
-    cfg: PipelineConfig
     lexicon: Lexicon
     stopwords: frozenset[str]
     synonyms: SynonymLexicon | None
@@ -265,7 +262,7 @@ class PipelineRuntime:
         synonyms = _synonyms(cfg)
         enhance_cfg = replace(cfg.enhance, deny_list=_deny_list(cfg))
         predictor = _predictor(cfg, lexicon)
-        return cls(cfg, lexicon, stopwords, synonyms, predictor, enhance_cfg)
+        return cls(lexicon, stopwords, synonyms, predictor, enhance_cfg)
 
 
 def run_pipeline(
@@ -358,7 +355,7 @@ def _emit(record: dict) -> None:
 
 def _cmd_corpus_stats(args) -> None:
     docs = [doc for path in args.paths for doc in load_corpus(path, args.kind)]
-    _emit(corpus_mod.corpus_stats(docs).as_dict())
+    _emit(asdict(corpus_mod.corpus_stats(docs)))
 
 
 def _cmd_corpus_split(args) -> None:

@@ -99,14 +99,6 @@ class CorpusStats:
     tokens_per_doc: tuple[float, float]
     tokens_per_sentence: tuple[float, float]
 
-    def as_dict(self) -> dict:
-        return {
-            "n_docs": self.n_docs,
-            "sentences_per_doc": list(self.sentences_per_doc),
-            "tokens_per_doc": list(self.tokens_per_doc),
-            "tokens_per_sentence": list(self.tokens_per_sentence),
-        }
-
 
 def tokenize(text: str) -> list[Line]:
     """Lowercase and tokenize ``text`` into per-line token lists.
@@ -231,7 +223,7 @@ def _reject_reserved(path: Path, text: str) -> None:
         raise ValueError(f"{path}:{lineno}: reserved token {tok!r} in corpus input")
 
 
-def load_document(path: str | Path, kind: str, doc_id: str | None = None) -> Document:
+def load_document(path: str | Path, kind: str) -> Document:
     """Load one document from a UTF-8 text file.
 
     A line holding a reserved token (:data:`RESERVED_TOKENS`) raises
@@ -240,7 +232,7 @@ def load_document(path: str | Path, kind: str, doc_id: str | None = None) -> Doc
     path = Path(path)
     raw = path.read_text(encoding="utf-8")
     _reject_reserved(path, raw)
-    return Document(id=doc_id or path.stem, kind=kind, lines=tokenize(raw), raw=raw)
+    return Document(id=path.stem, kind=kind, lines=tokenize(raw), raw=raw)
 
 
 def load_corpus(path: str | Path, kind: str) -> list[Document]:

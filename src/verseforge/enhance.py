@@ -409,10 +409,10 @@ def _candidate_pairs(items: list, resp: requests.Response) -> tuple[tuple[str, f
     """Each item's ``(token, float(score))``; a protocol error at the first bad item.
 
     A reply is accepted in C-level passes over the whole list: exact types
-    suffice, as JSON decoding makes no subclasses. Only a reply they reject
-    (a non-dict item, a token not a ``str``, a score not an ``int`` or
+    suffice, as JSON decoding makes no subclasses. A reply they reject (a
+    non-dict item, a token not a ``str``, a score not an ``int`` or
     ``float``, ``bool`` included, or beyond float range) is walked item by
-    item, to name the error of its first bad item.
+    item only to name the error of its first bad item.
     """
     if set(map(type, items)) <= {dict}:
         tokens = list(map(dict.get, items, repeat("token")))
@@ -422,22 +422,20 @@ def _candidate_pairs(items: list, resp: requests.Response) -> tuple[tuple[str, f
                 return tuple(zip(tokens, map(float, scores)))
             except OverflowError:
                 pass
-    pairs = []
     for item in items:
         if (
-            not isinstance(item, dict)
-            or not isinstance(item.get("token"), str)
-            or not isinstance(item.get("score"), (int, float))
-            or isinstance(item["score"], bool)
+            type(item) is not dict
+            or type(item.get("token")) is not str
+            or type(item.get("score")) not in (int, float)
         ):
-            raise PredictorProtocolError(f"malformed candidate entry: {_excerpt(resp)}")
+            break
         try:
-            pairs.append((item["token"], float(item["score"])))
+            float(item["score"])
         except OverflowError as exc:
             raise PredictorProtocolError(
                 f"score out of float range: {_excerpt(resp)}"
             ) from exc
-    return tuple(pairs)
+    raise PredictorProtocolError(f"malformed candidate entry: {_excerpt(resp)}")
 
 
 @dataclass

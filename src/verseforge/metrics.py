@@ -126,10 +126,8 @@ def per_word_rhyme_lengths(verse: Verse, lex: Lexicon, cfg: RhymeConfig) -> list
     return lengths
 
 
-def rhyme_density(verse: Verse, lex: Lexicon, cfg: RhymeConfig | None = None) -> float:
+def rhyme_density(verse: Verse, lex: Lexicon, cfg: RhymeConfig = RhymeConfig()) -> float:
     """Mean per-word rhyme length over the verse's word stream."""
-    if cfg is None:
-        cfg = RhymeConfig()
     lengths = per_word_rhyme_lengths(verse, lex, cfg)
     if not lengths:
         return 0.0
@@ -176,7 +174,7 @@ def repetition_score(verse: Verse) -> float:
     return total / n
 
 
-def score_verse(verse: Verse, lex: Lexicon, cfg: RhymeConfig | None = None) -> ScoredVerse:
+def score_verse(verse: Verse, lex: Lexicon, cfg: RhymeConfig = RhymeConfig()) -> ScoredVerse:
     """Bundle rhyme density and repetition into the reranking score rd - rep."""
     return ScoredVerse(
         verse=verse,

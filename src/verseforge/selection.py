@@ -85,7 +85,7 @@ def hypothesis_from_record(record: dict) -> Hypothesis:
 
 
 def rerank(
-    hyps: list[Hypothesis], lex: Lexicon, cfg: RhymeConfig | None = None
+    hyps: list[Hypothesis], lex: Lexicon, cfg: RhymeConfig = RhymeConfig()
 ) -> Hypothesis:
     """Return the hypothesis maximizing rd - rep; ties go to the lowest rank."""
     if not hyps:

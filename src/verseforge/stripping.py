@@ -224,7 +224,7 @@ def strip_corpus(
     docs: list[Document],
     stopwords: frozenset[str],
     noise: str = "none",
-    cfg: NoiseConfig | None = None,
+    cfg: NoiseConfig = NoiseConfig(),
     synonyms: SynonymLexicon | None = None,
     workers: int = 1,
 ) -> list[ContentWords]:
@@ -234,8 +234,6 @@ def strip_corpus(
     GIL-bound, so a thread pool made it slower, and per-document RNG streams
     come from (seed, document id) alone.
     """
-    if cfg is None:
-        cfg = NoiseConfig()
     return [
         apply_noise(extract_content_words(doc, stopwords), noise, cfg, synonyms)
         for doc in docs

@@ -71,7 +71,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="endpoint"):
             load_config(path)
 
-    @pytest.mark.parametrize("endpoint", ["localhost:8000", "http://", "ftp://127.0.0.1:8000"])
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["localhost:8000", "http://", "ftp://127.0.0.1:8000",
+         "http://127.0.0.1:99999", "http://127.0.0.1:abc", "http://127.0.0.1:0"],
+    )
     def test_remote_endpoint_must_be_http_url_with_host(self, endpoint):
         with pytest.raises(ConfigError, match="must be an http"):
             load_config(None, {"predictor": "remote", "endpoint": endpoint})
@@ -371,11 +375,11 @@ class TestGoldenOutput:
              ["rerank", "--hypotheses", DATA_DIR / "rerank_punct.jsonl", "--lexicon", LEXICON]),
             # doc_c's two-line chorus is dropped.
             ("golden_corpus_split.jsonl", ["corpus", "split", MINI]),
-            ("golden_corpus_stats.jsonl", ["corpus", "stats", MINI]),
             ("golden_strip_drop.jsonl", ["strip", MINI, "--noise", "drop", "--seed", "3"]),
             ("golden_strip_synonym.jsonl",
              ["strip", MINI, "--noise", "synonym", "--synonym-rate", "0.5", "--seed", "1",
               "--synonyms", PKG_DATA_DIR / "synonyms_sample.tsv"]),
+            ("golden_corpus_stats.jsonl", ["corpus", "stats", MINI]),
         ],
     )
     def test_stdout_matches_golden(self, capsys, golden, argv):

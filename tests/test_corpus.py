@@ -283,14 +283,12 @@ class TestCorpusStats:
         assert stats.tokens_per_doc == (10.0, 0.0)
         assert stats.tokens_per_sentence == (5.0, 0.0)
 
-    @pytest.mark.parametrize(
-        "raws, message",
-        [([], "empty corpus"), (["", "\n\n"], "empty corpus: no sentences")],
-    )
-    def test_empty_corpus(self, raws, message):
+    def test_empty_corpus(self):
+        with pytest.raises(EmptyCorpusError, match="empty corpus"):
+            corpus_stats([])
         with pytest.raises(EmptyCorpusError) as info:
-            corpus_stats([make_doc(raw, doc_id=str(i)) for i, raw in enumerate(raws)])
-        assert str(info.value) == message
+            corpus_stats([make_doc(""), make_doc("\n\n", doc_id="e")])
+        assert str(info.value) == "empty corpus: no sentences"
 
     def test_permutation_invariant(self):
         docs = [make_doc(f"w{i} " * (i + 1), doc_id=str(i)) for i in range(4)]
