@@ -205,7 +205,7 @@ def load_word_list(path: str | Path) -> frozenset[str]:
     """One lowercase word per line, UTF-8; blank lines are skipped."""
     words = (
         line.strip().lower()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        for line in Path(path).read_text(encoding="utf-8-sig").splitlines()
     )
     return frozenset(w for w in words if w)
 
@@ -230,7 +230,7 @@ def load_document(path: str | Path, kind: str) -> Document:
     ValueError naming the file and line.
     """
     path = Path(path)
-    raw = path.read_text(encoding="utf-8")
+    raw = path.read_text(encoding="utf-8-sig")
     _reject_reserved(path, raw)
     return Document(id=path.stem, kind=kind, lines=tokenize(raw), raw=raw)
 
@@ -251,7 +251,7 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
         return [load_document(p, kind) for p in sorted(path.glob("*.txt"))]
     if kind == "lyrics":
         return [load_document(path, kind)]
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     _reject_reserved(path, text)
     stem = path.stem
     shared: dict[str, str] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Verse, find_alnum, punctuation_in
 from .phonetics import Lexicon, vowel_sequence
@@ -41,10 +41,10 @@ class ScoredVerse:
     verse: Verse
     rd: float
     rep: float
-    score: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "score", self.rd - self.rep)
+    @property
+    def score(self) -> float:
+        return self.rd - self.rep
 
 
 def rhyme_length(w1: str, w2: str, lex: Lexicon) -> int:

@@ -27,7 +27,8 @@ FALLBACK_PREFIX = "V:"
 
 _STRESS_RE = re.compile(r"\d+$")
 _VARIANT_RE = re.compile(r"^(.+)\(\d+\)$")
-_VOWEL_LETTERS = frozenset("aeiouy")
+# Runs of vowel letters; a word-initial y is not a vowel.
+_VOWEL_RUN_RE = re.compile(r"(?!^y)[aeiouy]+")
 
 
 class LexiconFormatError(ValueError):
@@ -163,7 +164,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """
     path = Path(path)
     raw_entries: dict[str, str] = {}
-    with path.open(encoding="utf-8", errors="replace") as fh:
+    with path.open(encoding="utf-8-sig", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             # The remainder after the word starts at a phoneme, if any.
             parts = raw.split(None, 1)
@@ -190,18 +191,7 @@ def fallback_pronunciation(word: str) -> Pronunciation:
     Consonants and non-letters emit nothing; an all-consonant word yields
     an empty pronunciation.
     """
-    symbols: list[str] = []
-    run: list[str] = []
-    for i, ch in enumerate(word.lower()):
-        if ch in _VOWEL_LETTERS and not (ch == "y" and i == 0):
-            run.append(ch)
-        else:
-            if run:
-                symbols.append(FALLBACK_PREFIX + "".join(run))
-                run = []
-    if run:
-        symbols.append(FALLBACK_PREFIX + "".join(run))
-    return tuple(symbols)
+    return tuple(FALLBACK_PREFIX + run for run in _VOWEL_RUN_RE.findall(word.lower()))
 
 
 def transcribe(word: str, lex: Lexicon) -> Pronunciation:

@@ -52,7 +52,7 @@ def load_hypotheses(path: str | Path) -> list[Hypothesis]:
     """
     hyps = []
     seen: set[int] = set()
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
@@ -130,9 +130,12 @@ class RetrievalIndex:
     vectors: list[dict[int, float]]
     vocabulary: dict[str, int]
     df: dict[str, int]
-    n_docs: int
     word_vectors: dict[str, list[float]] | None = None
     stopwords: frozenset[str] = field(default_factory=frozenset)
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.doc_ids)
 
     @cached_property
     def postings(self) -> Postings:
@@ -189,7 +192,6 @@ def _new_index(docs: list, stopwords: frozenset[str] | None) -> RetrievalIndex:
         vectors=[],
         vocabulary={},
         df={},
-        n_docs=len(docs),
         stopwords=default_stopwords() if stopwords is None else stopwords,
     )
 
@@ -277,7 +279,7 @@ def load_word_vectors(path: str | Path) -> dict[str, list[float]]:
     """
     vectors: dict[str, list[float]] = {}
     dim = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -355,8 +357,7 @@ def retrieve_indices(index: RetrievalIndex, query, k: int = 1) -> list[tuple[int
     cut = 0.0
     if 0 < k < len(acc):
         kth = heapq.nlargest(k, acc.values())[-1]
-        if kth < math.inf:  # an overflowed sum has no such bound
-            cut = kth * (1.0 - len(qvec) * _REORDER_MARGIN)
+        cut = kth * (1.0 - len(qvec) * _REORDER_MARGIN)
     exact = {
         doc: _cosine(qvec, vectors[doc])
         for doc, s in acc.items()
@@ -434,8 +435,8 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
     """
     dir_path = Path(dir_path)
     vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
-    vocab_lines = vocab_path.read_text(encoding="utf-8").splitlines()
-    vector_lines = vectors_path.read_text(encoding="utf-8").splitlines()
+    vocab_lines = vocab_path.read_text(encoding="utf-8-sig").splitlines()
+    vector_lines = vectors_path.read_text(encoding="utf-8-sig").splitlines()
     n_dims, n_docs = len(vocab_lines), len(vector_lines)
     vocabulary: dict[str, int] = {}
     df: dict[str, int] = {}
@@ -483,16 +484,14 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
         vectors=vectors,
         vocabulary=vocabulary,
         df=df,
-        n_docs=n_docs,
     )
 
 
-def _first_repeat(pairs: list[str]) -> int | None:
-    """The first dimension of ``dim:weight`` pairs that an earlier pair holds."""
+def _first_repeat(pairs: list[str]) -> int:
+    """The first dimension of ``dim:weight`` pairs that an earlier pair holds (one must)."""
     seen = set()
     for pair in pairs:
         dim = int(pair.split(":")[0])
         if dim in seen:
             return dim
         seen.add(dim)
-    return None

@@ -79,7 +79,7 @@ class SynonymLexicon:
         and dropped whole.
         """
         entries: dict[str, tuple[str, ...]] = {}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -6,10 +6,11 @@ from urllib.parse import unquote
 
 import pytest
 
-from verseforge.corpus import Verse
+from verseforge.corpus import Document, Verse
 from verseforge.enhance import CandidateList, PredictorProtocolError
 from verseforge.phonetics import (
     _VARIANT_RE,
+    FALLBACK_PREFIX,
     LexiconFormatError,
     Lexicon,
     Pronunciation,
@@ -22,9 +23,6 @@ from verseforge.selection import (
     VECTORS_FILE,
     VOCAB_FILE,
     RetrievalIndex,
-    _new_index,
-    _normalize,
-    _tokens_of,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -72,7 +70,7 @@ def reference_load_lexicon(path: str | Path) -> Lexicon:
     """
     path = Path(path)
     entries: dict[str, Pronunciation] = {}
-    with path.open(encoding="utf-8", errors="replace") as fh:
+    with path.open(encoding="utf-8-sig", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith(";;;"):
@@ -89,6 +87,26 @@ def reference_load_lexicon(path: str | Path) -> Lexicon:
                 continue
             entries[word] = tuple(strip_stress(p) for p in parts[1:])
     return Lexicon(entries=entries, source=str(path))
+
+
+def reference_fallback_pronunciation(word: str) -> Pronunciation:
+    """Reference: the orthographic fallback as a letter-by-letter scan.
+
+    It keeps one buffer for the current vowel run and flushes it at each
+    non-vowel and once more after the last letter.
+    """
+    symbols: list[str] = []
+    run: list[str] = []
+    for i, ch in enumerate(word.lower()):
+        if ch in "aeiouy" and not (ch == "y" and i == 0):
+            run.append(ch)
+        else:
+            if run:
+                symbols.append(FALLBACK_PREFIX + "".join(run))
+                run = []
+    if run:
+        symbols.append(FALLBACK_PREFIX + "".join(run))
+    return tuple(symbols)
 
 
 def reference_parse_response(resp, k: int) -> CandidateList:
@@ -127,6 +145,12 @@ def reference_parse_response(resp, k: int) -> CandidateList:
         raise PredictorProtocolError(f"{exc}: {excerpt!r}") from exc
 
 
+def reference_normalize(vec: dict[int, float]) -> dict[int, float]:
+    """Reference: ``vec`` scaled to unit length; empty if every weight is 0."""
+    norm = math.sqrt(sum(w * w for w in vec.values()))
+    return {d: w / norm for d, w in vec.items()} if norm else {}
+
+
 def reference_weigh(
     tokens: list[str], vocabulary: dict[str, int], df: dict[str, int], n: int
 ) -> dict[int, float]:
@@ -135,7 +159,34 @@ def reference_weigh(
     for t in tokens:
         if t in vocabulary:
             counts[t] = counts.get(t, 0) + 1
-    return _normalize({vocabulary[t]: c * math.log(n / df[t]) for t, c in counts.items()})
+    return reference_normalize({vocabulary[t]: c * math.log(n / df[t]) for t, c in counts.items()})
+
+
+def reference_tokens(doc) -> list[str]:
+    """Reference: the tokens of a Document or Verse, a list of lines, or a token list."""
+    if isinstance(doc, (Document, Verse)):
+        lines = doc.lines
+    elif doc and isinstance(doc[0], list):
+        lines = doc
+    else:
+        lines = [doc]
+    return [tok for line in lines for tok in line]
+
+
+def reference_doc_id(doc, position: int) -> str:
+    """Reference: the id an index gives the document at ``position``."""
+    if isinstance(doc, Document):
+        return doc.id
+    if isinstance(doc, Verse) and doc.source_doc:
+        return f"{doc.source_doc}#{position}"
+    return f"doc{position}"
+
+
+def reference_stopwords() -> frozenset[str]:
+    """Reference: the bundled stopword file, read line by line."""
+    path = PKG_DATA_DIR / "stopwords_en.txt"
+    words = (line.strip().lower() for line in path.read_text(encoding="utf-8").splitlines())
+    return frozenset(w for w in words if w)
 
 
 def reference_build_index(
@@ -143,23 +194,31 @@ def reference_build_index(
 ) -> RetrievalIndex:
     """Reference: the TF-IDF builder that keeps every filtered token list.
 
-    It computes each idf once per document that holds the term.
+    It computes each idf once per document that holds the term. Ids,
+    tokens, the stopword default and the normalization are its own.
     """
-    index = _new_index(docs, stopwords)
-    token_lists = [
-        [t for t in _tokens_of(d) if t not in index.stopwords] for d in docs
-    ]
+    if not docs:
+        raise ValueError("cannot index an empty corpus")
+    if stopwords is None:
+        stopwords = reference_stopwords()
+    token_lists = [[t for t in reference_tokens(d) if t not in stopwords] for d in docs]
     df: dict[str, int] = {}
     for tokens in token_lists:
         for term in set(tokens):
             df[term] = df.get(term, 0) + 1
-    index.df = {t: c for t, c in df.items() if c >= min_df}
-    index.vocabulary = {term: dim for dim, term in enumerate(sorted(index.df))}
-    index.vectors = [
-        dict(sorted(reference_weigh(tokens, index.vocabulary, index.df, index.n_docs).items()))
-        for tokens in token_lists
-    ]
-    return index
+    df = {t: c for t, c in df.items() if c >= min_df}
+    vocabulary = {term: dim for dim, term in enumerate(sorted(df))}
+    return RetrievalIndex(
+        doc_ids=[reference_doc_id(d, i) for i, d in enumerate(docs)],
+        documents=list(docs),
+        vectors=[
+            dict(sorted(reference_weigh(tokens, vocabulary, df, len(docs)).items()))
+            for tokens in token_lists
+        ],
+        vocabulary=vocabulary,
+        df=df,
+        stopwords=stopwords,
+    )
 
 
 def reference_load_index(dir_path: str | Path) -> RetrievalIndex:
@@ -171,8 +230,8 @@ def reference_load_index(dir_path: str | Path) -> RetrievalIndex:
     """
     dir_path = Path(dir_path)
     vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
-    vocab_lines = vocab_path.read_text(encoding="utf-8").splitlines()
-    vector_lines = vectors_path.read_text(encoding="utf-8").splitlines()
+    vocab_lines = vocab_path.read_text(encoding="utf-8-sig").splitlines()
+    vector_lines = vectors_path.read_text(encoding="utf-8-sig").splitlines()
     n_dims, n_docs = len(vocab_lines), len(vector_lines)
     vocabulary: dict[str, int] = {}
     df: dict[str, int] = {}
@@ -219,7 +278,6 @@ def reference_load_index(dir_path: str | Path) -> RetrievalIndex:
         vectors=vectors,
         vocabulary=vocabulary,
         df=df,
-        n_docs=n_docs,
     )
 
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,12 +18,22 @@ from verseforge.cli import (
     run_pipeline,
     serve_report,
 )
-from verseforge.corpus import Document, tokenize
+from verseforge.corpus import Document, load_corpus, load_document, load_word_list, tokenize
+from verseforge.phonetics import load_lexicon
+from verseforge.selection import (
+    VECTORS_FILE,
+    VOCAB_FILE,
+    load_hypotheses,
+    load_index,
+    load_word_vectors,
+)
+from verseforge.stripping import SynonymLexicon
 
 from conftest import DATA_DIR, PKG_DATA_DIR
 
 MINI = DATA_DIR / "mini_corpus"
 LEXICON = PKG_DATA_DIR / "cmudict_sample.txt"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -154,6 +167,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["[]", '[{"seed": 1}]', "5", '"seed"', "null"])
+    def test_file_must_hold_an_object(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"config {path} must hold a JSON object"
 
     def test_corpus_predictor_requires_corpus_path(self):
         with pytest.raises(ConfigError) as info:
@@ -386,6 +407,33 @@ class TestGoldenOutput:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert out == (DATA_DIR / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", MINI, "--corpus", MINI, "--kind", "lyrics", "--lexicon", LEXICON],
+            ["enhance", MINI, "--corpus", MINI, "--lexicon", LEXICON],
+            ["strip", MINI, "--noise", "synonym", "--synonym-rate", "0.5",
+             "--synonyms", PKG_DATA_DIR / "synonyms_sample.tsv"],
+            ["analyze", MINI, "--lexicon", LEXICON],
+            ["rerank", "--hypotheses", DATA_DIR / "rerank_punct.jsonl", "--lexicon", LEXICON],
+            ["retrieve", "--query", MINI / "doc_a.txt", "--corpus", MINI, "--k", "5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_stdout_independent_of_hash_seed(self, argv):
+        # Each run is a fresh interpreter, so each hashes strings differently.
+        outs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-m", "verseforge.cli", *map(str, argv)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert run.returncode == 0 and run.stderr == ""
+            outs.add(run.stdout)
+        assert len(outs) == 1 and outs.pop()
 
 
 class TestRerankCommand:
@@ -907,3 +955,33 @@ class TestSharedConfigFlags:
         code, out, err = run_cli(capsys, "enhance", MINI / "doc_d.txt", "--corpus", corpus)
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "cannot build predictor from an empty corpus"}
+
+
+# Each loader with the file (or the files of a directory) it reads. Every
+# file starts with a word or field that a kept byte-order mark would change.
+BOM_INPUTS = {
+    "word list": (lambda d: load_word_list(d / "in.txt"), {"in.txt": "the\na\n"}),
+    "document": (lambda d: load_document(d / "in.txt", "lyrics"), {"in.txt": "the cat sat\n"}),
+    "prose corpus": (lambda d: load_corpus(d / "in.txt", "news"), {"in.txt": "storm winds\ncalm\n"}),
+    "lexicon": (lambda d: load_lexicon(d / "in.dict").entries, {"in.dict": "FOOD  F UW1 D\n"}),
+    "synonyms": (lambda d: SynonymLexicon.load(d / "in.tsv"), {"in.tsv": "gold\tore,bullion\n"}),
+    "hypotheses": (
+        lambda d: load_hypotheses(d / "in.jsonl"), {"in.jsonl": '{"rank": 0, "text": "go <nl> slow"}\n'}
+    ),
+    "word vectors": (lambda d: load_word_vectors(d / "in.txt"), {"in.txt": "gold 1 0\nsoul 0 1\n"}),
+    "index": (load_index, {VOCAB_FILE: "cat\t0\t1\ndog\t1\t1\n", VECTORS_FILE: "d0 0:1\nd1 1:1\n"}),
+    "config": (lambda d: load_config(d / "in.json"), {"in.json": '{"seed": 3}'}),
+}
+
+
+@pytest.mark.parametrize("name", BOM_INPUTS)
+def test_leading_byte_order_mark_is_ignored(tmp_path, name):
+    load, files = BOM_INPUTS[name]
+    loaded = []
+    for sub, prefix in (("plain", ""), ("bom", "\ufeff")):
+        d = tmp_path / sub
+        d.mkdir()
+        for file_name, text in files.items():
+            (d / file_name).write_text(prefix + text, encoding="utf-8")
+        loaded.append(load(d))
+    assert loaded[0] == loaded[1]

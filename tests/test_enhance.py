@@ -438,6 +438,7 @@ class TestCorpusPredictor:
             assert predictor.predict(query) is first
             assert first == CandidateList(tuple(ranking[:k]))
         assert predictor.predict(PredictorQuery(("<mask>",), 0, k=2)).tokens() == ["a", "b"]
+        assert len(predictor) == len(ranking)
 
     def test_unsorted_ranking_raises_on_every_call(self):
         predictor = CorpusPredictor([("a", 1.0), ("b", 2.0)])

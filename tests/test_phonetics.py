@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verseforge.phonetics import (
     ARPABET_VOWELS,
@@ -23,6 +23,7 @@ from conftest import (
     MIXED_TOKENS,
     PKG_DATA_DIR,
     TOY_WORDS,
+    reference_fallback_pronunciation,
     reference_load_lexicon,
     uncached_vowels,
 )
@@ -243,6 +244,15 @@ class TestTranscribe:
 
     def test_nonletters_break_runs(self):
         assert fallback_pronunciation("can't") == ("V:a",)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(), st.text("aeiouyAEIOUYbcdxyz-'\u0130\xe9 \n_1Y")))
+    # "\u0130" lowers to two characters; "^" must not match after a newline.
+    @example("\u0130y")
+    @example("Yay")
+    @example("y\ny")
+    def test_fallback_matches_reference_scan(self, word):
+        assert fallback_pronunciation(word) == reference_fallback_pronunciation(word)
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):

@@ -184,6 +184,18 @@ token_lists = st.lists(st.sampled_from(TERMS + ["the"]), max_size=9)
 WIDE_TERMS = [f"t{i}" for i in range(12)]
 
 
+def as_shape(tokens: list[str], shape: str, i: int):
+    """``tokens`` as one of the document shapes an index accepts."""
+    lines = [tokens[:3], tokens[3:]]
+    if shape == "tokens":
+        return tokens
+    if shape == "lines":
+        return lines
+    if shape == "document":
+        return Document(id=f"d{i}", kind="news", lines=lines, raw="")
+    return Verse(lines, "song" if shape == "song verse" else None)
+
+
 class TestTfIdfIndex:
     def test_single_doc_degenerate_idf(self):
         index = build_index([make_doc("cat dog", "d0")], stopwords=NO_STOP)
@@ -291,11 +303,16 @@ class TestTfIdfIndex:
         ),
         min_df=st.integers(1, 3),
         query=st.lists(st.sampled_from(WIDE_TERMS + ["the", "zebra"]), max_size=12),
+        shape=st.sampled_from(["tokens", "lines", "document", "verse", "song verse"]),
+        stopwords=st.sampled_from([STOP, None]),
     )
-    def test_matches_reference_builder(self, docs, min_df, query):
+    def test_matches_reference_builder(self, docs, min_df, query, shape, stopwords):
         # Every weight keeps its bits and its place, in the index and in a query.
-        index = build_index(docs, min_df=min_df, stopwords=STOP)
-        want = reference_build_index(docs, min_df=min_df, stopwords=STOP)
+        docs = [as_shape(tokens, shape, i) for i, tokens in enumerate(docs)]
+        index = build_index(docs, min_df=min_df, stopwords=stopwords)
+        want = reference_build_index(docs, min_df=min_df, stopwords=stopwords)
+        assert index.doc_ids == want.doc_ids and index.documents == want.documents
+        assert index.stopwords == want.stopwords and index.n_docs == len(docs)
         assert list(index.vocabulary.items()) == list(want.vocabulary.items())
         assert index.df == want.df
         assert list(index.df) == list(index.vocabulary)
