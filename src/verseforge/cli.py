@@ -18,7 +18,7 @@ from statistics import mean, pstdev
 from urllib.parse import urlsplit
 
 from . import corpus as corpus_mod
-from .corpus import KINDS, Document, Verse, join_lines, load_corpus, load_document
+from .corpus import KINDS, Document, Verse, join_lines, load_corpus, load_document, read_text
 from .enhance import (
     EnhanceConfig,
     MaskedPredictor,
@@ -137,7 +137,7 @@ def load_config(
     data: dict = {}
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+            data = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):

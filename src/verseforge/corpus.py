@@ -8,12 +8,13 @@ lowercase whitespace-free tokens produced by :func:`tokenize`.
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 from itertools import filterfalse, groupby
 from pathlib import Path
 from statistics import mean, pstdev
-from typing import Iterable
+from typing import Iterable, Iterator
 
 # Characters split off token edges as standalone tokens. Apostrophes and
 # hyphens stay inside tokens ("can't", "mid-30s").
@@ -201,12 +202,59 @@ def corpus_stats(docs: list[Document]) -> CorpusStats:
     )
 
 
+# The line breaks that open() reads as "\n".
+_NEWLINE_RE = re.compile("\r\n?|\n")
+_BLOCK_BYTES = 1 << 14
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file as ``open`` reads it.
+
+    A leading byte-order mark is dropped, and ``\\r\\n`` and ``\\r`` read
+    as ``\\n``. Invalid UTF-8 raises ValueError naming the file and the
+    line of the first bad byte, lines ending at a newline.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # Read whole, the decoded object is the file after any byte-order mark.
+        head = exc.object[: exc.start].decode("utf-8")
+        raise _invalid_utf8(path, len(_NEWLINE_RE.split(head)), exc) from None
+
+
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 file as ``str.splitlines`` splits its text, streamed.
+
+    A leading byte-order mark is dropped. The file is read in blocks of
+    about 16 KiB that end at a newline, so no more than a block and a line
+    are held at a time. Invalid UTF-8 raises ValueError naming the file
+    and the line of the first bad byte.
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        # A block that ends at a newline (or the end of the file) decodes
+        # and splits on its own: no UTF-8 sequence holds the byte "\n", and
+        # no line break spans it ("\r\n" ends at it).
+        block = (fh.read(_BLOCK_BYTES) + fh.readline()).removeprefix(codecs.BOM_UTF8)
+        while block:
+            try:
+                lines = block.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                head = block[: exc.start].decode("utf-8") + "x"
+                raise _invalid_utf8(path, lineno + len(head.splitlines()), exc) from None
+            lineno += len(lines)
+            yield from lines
+            block = fh.read(_BLOCK_BYTES) + fh.readline()
+
+
+def _invalid_utf8(path: str | Path, lineno: int, exc: UnicodeDecodeError) -> ValueError:
+    bad = exc.object[exc.start]
+    return ValueError(f"{path}:{lineno}: invalid UTF-8 byte 0x{bad:02x} ({exc.reason})")
+
+
 def load_word_list(path: str | Path) -> frozenset[str]:
     """One lowercase word per line, UTF-8; blank lines are skipped."""
-    words = (
-        line.strip().lower()
-        for line in Path(path).read_text(encoding="utf-8-sig").splitlines()
-    )
+    words = (line.strip().lower() for line in read_lines(path))
     return frozenset(w for w in words if w)
 
 
@@ -230,7 +278,7 @@ def load_document(path: str | Path, kind: str) -> Document:
     ValueError naming the file and line.
     """
     path = Path(path)
-    raw = path.read_text(encoding="utf-8-sig")
+    raw = read_text(path)
     _reject_reserved(path, raw)
     return Document(id=path.stem, kind=kind, lines=tokenize(raw), raw=raw)
 
@@ -251,7 +299,7 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
         return [load_document(p, kind) for p in sorted(path.glob("*.txt"))]
     if kind == "lyrics":
         return [load_document(path, kind)]
-    text = path.read_text(encoding="utf-8-sig")
+    text = read_text(path)
     _reject_reserved(path, text)
     stem = path.stem
     shared: dict[str, str] = {}

@@ -18,13 +18,14 @@ import operator
 import re
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import quote, unquote
 
-from .corpus import Document, Verse, split_flat
+from .corpus import Document, Verse, read_lines, read_text, split_flat
 from .metrics import RhymeConfig, ScoredVerse, score_verse
 from .phonetics import Lexicon
 from .stripping import default_stopwords
@@ -52,7 +53,7 @@ def load_hypotheses(path: str | Path) -> list[Hypothesis]:
     """
     hyps = []
     seen: set[int] = set()
-    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    lines = read_text(path).split("\n")
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
@@ -114,20 +115,52 @@ class Postings(NamedTuple):
     weights: array  # 'd', the weight of the dimension in that document
 
 
+class VectorsView(Sequence):
+    """Read-only view of an index's arrays as one dict per document.
+
+    ``len`` costs O(1). Item ``i`` is a new ``{dimension: weight}`` dict of
+    document ``i``, keys in stored order. Two views are equal when their
+    arrays are.
+    """
+
+    __slots__ = ("offsets", "dims", "weights")
+
+    def __init__(self, offsets: array, dims: array, weights: array):
+        self.offsets, self.dims, self.weights = offsets, dims, weights
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> dict[int, float]:
+        i = range(len(self))[i]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return dict(zip(self.dims[lo:hi], self.weights[lo:hi]))
+
+    def __eq__(self, other):
+        if not isinstance(other, VectorsView):
+            return NotImplemented
+        return (self.offsets, self.dims, self.weights) == (other.offsets, other.dims, other.weights)
+
+
 @dataclass
 class RetrievalIndex:
-    """Sparse TF-IDF index over a fixed document list.
+    """Sparse index over a fixed document list, held as flat doc-major arrays.
 
-    ``vectors[i]`` maps term dimension to L2-normalized weight; documents
-    loaded back from disk are represented by their ids only. Dimensions
-    are ``0..len(vocabulary) - 1`` and weights are finite and
-    non-negative. The first TF-IDF query builds :attr:`postings` from
-    ``vectors`` and keeps it, so do not mutate ``vectors`` after that.
+    The entries of document ``i`` are ``dims[offsets[i]:offsets[i + 1]]``
+    with the matching ``weights``: dimension and L2-normalized weight,
+    ascending by dimension in a built index. A TF-IDF index's dimensions
+    are ``0..len(vocabulary) - 1`` and its weights are finite and
+    non-negative. :attr:`vectors` is a read-only view of the arrays as one
+    dict per document. Documents loaded back from disk are represented by
+    their ids only. The first TF-IDF query builds :attr:`postings` from
+    the arrays and keeps it, so do not mutate them after that.
     """
 
     doc_ids: list[str]
     documents: list
-    vectors: list[dict[int, float]]
+    offsets: array  # 'q', one entry per document plus one
+    dims: array  # 'i'
+    weights: array  # 'd'
     vocabulary: dict[str, int]
     df: dict[str, int]
     word_vectors: dict[str, list[float]] | None = None
@@ -137,21 +170,24 @@ class RetrievalIndex:
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
+    @property
+    def vectors(self) -> VectorsView:
+        return VectorsView(self.offsets, self.dims, self.weights)
+
     @cached_property
     def postings(self) -> Postings:
-        """Postings of every dimension, counted into preallocated arrays."""
+        """Postings of every dimension: the entries counting-sorted by dimension."""
         n_dims = len(self.vocabulary)
         offsets = array("q", [0]) * (n_dims + 1)
-        for vec in self.vectors:
-            for dim in vec:
-                offsets[dim + 1] += 1
+        for dim, n in Counter(self.dims).items():
+            offsets[dim + 1] = n
         for dim in range(n_dims):
             offsets[dim + 1] += offsets[dim]
-        docs = array("i", [0]) * offsets[n_dims]
-        weights = array("d", [0.0]) * offsets[n_dims]
+        docs = array("i", [0]) * len(self.dims)
+        weights = array("d", [0.0]) * len(self.dims)
         free = offsets[:-1]
-        for doc, vec in enumerate(self.vectors):
-            for dim, w in vec.items():
+        for doc, (lo, hi) in enumerate(itertools.pairwise(self.offsets)):
+            for dim, w in zip(self.dims[lo:hi], self.weights[lo:hi]):
                 slot = free[dim]
                 docs[slot] = doc
                 weights[slot] = w
@@ -175,21 +211,42 @@ def _id_of(obj, i: int) -> str:
     return f"doc{i}"
 
 
-def _normalize(vec: dict[int, float]) -> dict[int, float]:
-    norm = math.sqrt(sum(w * w for w in vec.values()))
-    if norm == 0.0:
-        return {}
-    return {d: w / norm for d, w in vec.items()}
+def _norm(entries: list[tuple[int, float]]) -> float:
+    """The L2 norm of (dimension, weight) entries.
+
+    It sums in the order of ``entries``, which fixes the bits of every
+    normalized weight.
+    """
+    return math.sqrt(sum(w * w for _, w in entries))
+
+
+def _normalize(entries: list[tuple[int, float]]) -> dict[int, float]:
+    """``entries`` L2-normalized, in their order; empty if every weight is 0."""
+    norm = _norm(entries)
+    return {d: w / norm for d, w in entries} if norm else {}
+
+
+def _append_vector(index: RetrievalIndex, entries: list[tuple[int, float]], norm: float) -> None:
+    """Store the next document's entries, each weight divided by ``norm``.
+
+    A zero ``norm`` stores none: every weight is 0.
+    """
+    if norm:
+        index.dims.extend([d for d, _ in entries])
+        index.weights.extend([w / norm for _, w in entries])
+    index.offsets.append(len(index.dims))
 
 
 def _new_index(docs: list, stopwords: frozenset[str] | None) -> RetrievalIndex:
-    """An index over ``docs`` with no vectors yet; the builders fill them in."""
+    """An index over ``docs`` with no vectors yet; the builders append them."""
     if not docs:
         raise ValueError("cannot index an empty corpus")
     return RetrievalIndex(
         doc_ids=[_id_of(d, i) for i, d in enumerate(docs)],
         documents=list(docs),
-        vectors=[],
+        offsets=array("q", [0]),
+        dims=array("i"),
+        weights=array("d"),
         vocabulary={},
         df={},
         stopwords=default_stopwords() if stopwords is None else stopwords,
@@ -217,7 +274,11 @@ def build_index(
     index.vocabulary = {term: dim for dim, term in enumerate(index.df)}
     terms = _terms(index, index.df)
     counts.reverse()  # pop() frees each count once its vector is built
-    index.vectors = [dict(sorted(_weigh(counts.pop(), terms).items())) for _ in docs]
+    for _ in docs:
+        entries = _weigh(counts.pop(), terms)
+        norm = _norm(entries)
+        entries.sort()
+        _append_vector(index, entries, norm)
     return index
 
 
@@ -227,17 +288,14 @@ def _terms(index: RetrievalIndex, words) -> dict[str, tuple[int, float]]:
     return {t: (vocabulary[t], math.log(n / df[t])) for t in words if t in vocabulary}
 
 
-def _weigh(counts: Counter, terms: dict[str, tuple[int, float]]) -> dict[int, float]:
-    """The normalized TF-IDF vector of ``counts``, in the order of ``counts``.
-
-    The norm sums in that order, which fixes the bits of every weight.
-    """
-    vec = {}
+def _weigh(counts: Counter, terms: dict[str, tuple[int, float]]) -> list[tuple[int, float]]:
+    """The (dimension, count * idf) entries of ``counts``, in its order."""
+    entries = []
     for t, c in counts.items():
         if t in terms:
             dim, idf = terms[t]
-            vec[dim] = c * idf
-    return _normalize(vec)
+            entries.append((dim, c * idf))
+    return entries
 
 
 def build_vector_index(
@@ -248,7 +306,9 @@ def build_vector_index(
     """Embedding index: mean of known word vectors per doc, L2-normalized."""
     index = _new_index(docs, stopwords)
     index.word_vectors = word_vectors
-    index.vectors = [_embed(_tokens_of(d), word_vectors, index.stopwords) for d in docs]
+    for d in docs:
+        entries = _embed(_tokens_of(d), word_vectors, index.stopwords)
+        _append_vector(index, entries, _norm(entries))
     return index
 
 
@@ -256,18 +316,19 @@ def _embed(
     tokens: list[str],
     word_vectors: dict[str, list[float]],
     stopwords: frozenset[str],
-) -> dict[int, float]:
+) -> list[tuple[int, float]]:
+    """The non-zero entries of the mean of the known word vectors, scaled."""
     rows = [word_vectors[t] for t in tokens if t not in stopwords and t in word_vectors]
     if not rows:
-        return {}
+        return []
     # Scale the largest magnitude into [0.5, 1) so that neither the sums
-    # nor the squares in _normalize overflow or underflow. A power of two
+    # nor the squares in _norm overflow or underflow. A power of two
     # scales exactly, and normalizing cancels it.
     _, exp = math.frexp(max(abs(v) for r in rows for v in r))
     rows = [[math.ldexp(v, -exp) for v in r] for r in rows]
     dim = len(rows[0])
     mean = [sum(r[d] for r in rows) / len(rows) for d in range(dim)]
-    return _normalize({d: v for d, v in enumerate(mean) if v != 0.0})
+    return [(d, v) for d, v in enumerate(mean) if v != 0.0]
 
 
 def load_word_vectors(path: str | Path) -> dict[str, list[float]]:
@@ -279,7 +340,7 @@ def load_word_vectors(path: str | Path) -> dict[str, list[float]]:
     """
     vectors: dict[str, list[float]] = {}
     dim = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -302,10 +363,10 @@ def load_word_vectors(path: str | Path) -> dict[str, list[float]]:
 def _query_vector(index: RetrievalIndex, query) -> dict[int, float]:
     tokens = _tokens_of(query)
     if index.word_vectors is not None:
-        return _embed(tokens, index.word_vectors, index.stopwords)
+        return _normalize(_embed(tokens, index.word_vectors, index.stopwords))
     # No stopword is in the vocabulary, and _weigh weighs vocabulary terms only.
     counts = Counter(tokens)
-    return _weigh(counts, _terms(index, counts))
+    return _normalize(_weigh(counts, _terms(index, counts)))
 
 
 # In any order, a float sum of n non-negative terms is within a relative
@@ -315,10 +376,19 @@ def _query_vector(index: RetrievalIndex, query) -> dict[int, float]:
 _REORDER_MARGIN = 1e-14
 
 
-def _cosine(qvec: dict[int, float], dvec: dict[int, float]):
-    """Dot product summed in the shorter vector's order; int 0 if one is empty."""
-    small, large = (qvec, dvec) if len(qvec) <= len(dvec) else (dvec, qvec)
-    return sum(w * large.get(d, 0.0) for d, w in small.items())
+def _cosine(qvec: dict[int, float], index: RetrievalIndex, doc: int):
+    """Dot product of ``qvec`` and document ``doc``; int 0 if one is empty.
+
+    It sums in the shorter vector's order, the query's on a tie, and a
+    document's order is its stored order. Only a document summed in the
+    query's order is put in a dict.
+    """
+    lo, hi = index.offsets[doc], index.offsets[doc + 1]
+    dims, weights = index.dims[lo:hi], index.weights[lo:hi]
+    if len(qvec) <= len(dims):
+        dvec = dict(zip(dims, weights))
+        return sum(w * dvec.get(d, 0.0) for d, w in qvec.items())
+    return sum(w * qvec.get(d, 0.0) for d, w in zip(dims, weights))
 
 
 def _top_k(sims, positions, k: int) -> list[int]:
@@ -338,10 +408,11 @@ def retrieve_indices(index: RetrievalIndex, query, k: int = 1) -> list[tuple[int
     TF-IDF indexes score term-at-a-time over :attr:`RetrievalIndex.postings`.
     """
     qvec = _query_vector(index, query)
-    vectors = index.vectors
-    k = len(range(len(vectors))[:k])  # as many as [:k] of a full ranking
+    k = len(range(index.n_docs)[:k])  # as many as [:k] of a full ranking
+    if k == 0:
+        return []
     if index.word_vectors is not None:
-        sims = [_cosine(qvec, dvec) for dvec in vectors]
+        sims = [_cosine(qvec, index, doc) for doc in range(index.n_docs)]
         return [(i, sims[i]) for i in _top_k(sims, range(len(sims)), k)]
     offsets, docs, weights = index.postings
     acc: dict[int, float] = {}
@@ -359,17 +430,18 @@ def retrieve_indices(index: RetrievalIndex, query, k: int = 1) -> list[tuple[int
         kth = heapq.nlargest(k, acc.values())[-1]
         cut = kth * (1.0 - len(qvec) * _REORDER_MARGIN)
     exact = {
-        doc: _cosine(qvec, vectors[doc])
+        doc: _cosine(qvec, index, doc)
         for doc, s in acc.items()
         if s > 0.0 and s >= cut
     }
     ranked = _top_k(exact, sorted(exact), k)
     # Fewer than k positive scores: every other document scores zero, and
     # zeros tie, so they follow in insertion order.
-    unscored = (i for i in range(len(vectors)) if i not in exact)
+    unscored = (i for i in range(index.n_docs) if i not in exact)
     ranked += itertools.islice(unscored, k - len(ranked))
+    starts = index.offsets
     return [
-        (i, exact[i] if i in exact else 0.0 if qvec and vectors[i] else 0)
+        (i, exact[i] if i in exact else 0.0 if qvec and starts[i] < starts[i + 1] else 0)
         for i in ranked
     ]
 
@@ -406,16 +478,11 @@ def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
     with (dir_path / VOCAB_FILE).open("w", encoding="utf-8") as fh:
         for term, dim in sorted(index.vocabulary.items(), key=lambda kv: kv[1]):
             fh.write(f"{_escape(term)}\t{dim}\t{index.df[term]}\n")
+    dims, weights = index.dims, index.weights
     with (dir_path / VECTORS_FILE).open("w", encoding="utf-8") as fh:
-        for doc_id, vec in zip(index.doc_ids, index.vectors):
-            pairs = " ".join(f"{d}:{w:.17g}" for d, w in vec.items())
+        for doc_id, (lo, hi) in zip(index.doc_ids, itertools.pairwise(index.offsets)):
+            pairs = " ".join(map("{}:{:.17g}".format, dims[lo:hi], weights[lo:hi]))
             fh.write(f"{_escape(doc_id)} {pairs}".rstrip() + "\n")
-
-
-class _DimTexts(dict):
-    """Dimension text -> the vocabulary's int; other text goes through int()."""
-
-    __missing__ = staticmethod(int)
 
 
 def load_index(dir_path: str | Path) -> RetrievalIndex:
@@ -426,21 +493,26 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
     ``V`` and appear at most once per line, weights in [0, 1] and squared
     norms at most 1 (plus rounding), as in any L2-normalized vector, so
     every similarity is a cosine. Percent-encoded ids and terms are
-    decoded. A malformed file raises ValueError naming the file and line.
+    decoded. A malformed file raises ValueError naming the file and line;
+    lines are numbered as ``str.splitlines`` splits the text. Invalid
+    UTF-8 in either file is reported first, then the first bad line of
+    vocabulary.tsv, then that of vectors.txt.
 
-    A dimension written as :func:`save_index` writes it is keyed by the
-    vocabulary's own ``int``. Each line of vectors.txt is dropped once
-    parsed, so the file's lines and the parsed index are never held
-    together.
+    vectors.txt is streamed: each line's entries are appended to the
+    index's arrays once the line passes, and no line is held after that.
     """
     dir_path = Path(dir_path)
     vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
-    vocab_lines = vocab_path.read_text(encoding="utf-8-sig").splitlines()
-    vector_lines = vectors_path.read_text(encoding="utf-8-sig").splitlines()
-    n_dims, n_docs = len(vocab_lines), len(vector_lines)
     vocabulary: dict[str, int] = {}
     df: dict[str, int] = {}
-    for dim, raw in enumerate(vocab_lines):
+    # The range of a document frequency depends on N, which is known only
+    # once vectors.txt is read; every other error is kept until then.
+    vocab_error = vectors_error = None
+    n_dims = n_docs = 0
+    for dim, raw in enumerate(read_lines(vocab_path)):
+        n_dims = dim + 1
+        if vocab_error:
+            continue
         try:
             term, stored_dim, count = raw.split("\t")
             term, stored_dim, count = unquote(term), int(stored_dim), int(count)
@@ -448,50 +520,67 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
                 raise ValueError(f"dimension {stored_dim}, expected {dim}")
             if term in vocabulary:
                 raise ValueError(f"duplicate term {term!r}")
-            if not 1 <= count <= n_docs:
-                raise ValueError(f"document frequency {count} outside 1..{n_docs}")
         except ValueError as exc:
-            raise ValueError(f"{vocab_path}:{dim + 1}: {exc}") from None
+            vocab_error = f"{vocab_path}:{dim + 1}: {exc}"
+            continue
         vocabulary[term] = dim
         df[term] = count
-    del vocab_lines
-    dims = _DimTexts((str(dim), dim) for dim in vocabulary.values())
     doc_ids: list[str] = []
-    vectors: list[dict[int, float]] = []
-    vector_lines.reverse()  # pop() hands the lines out in file order
-    for lineno in range(1, n_docs + 1):
-        parts = vector_lines.pop().split(" ")
+    offsets, dims, weights = array("q", [0]), array("i"), array("d")
+    for lineno, raw in enumerate(read_lines(vectors_path), start=1):
+        n_docs = lineno
+        if vectors_error:
+            continue
+        parts = raw.split(" ")
         try:
-            vec = {dims[d]: float(w) for d, w in (p.split(":") for p in parts[1:])}
-            if len(vec) < len(parts) - 1:
-                raise ValueError(f"repeated dimension {_first_repeat(parts[1:])}")
-            if vec and (min(vec) < 0 or max(vec) >= n_dims):
-                raise ValueError(f"dimension outside 0..{n_dims - 1}")
-            weights = vec.values()
-            if not all(map(math.isfinite, weights)) or (
-                vec and (min(weights) < 0.0 or max(weights) > 1.0)
-            ):
-                raise ValueError("weights must be finite, non-negative and at most 1")
-            if sum(map(operator.mul, weights, weights)) > 1.0 + 1e-9:
-                raise ValueError("vector norm above 1")
+            pairs = map(str.split, parts[1:], itertools.repeat(":"))
+            line_dims, line_weights = _checked_vector([(int(d), float(w)) for d, w in pairs], n_dims)
         except ValueError as exc:
-            raise ValueError(f"{vectors_path}:{lineno}: {exc}") from None
+            vectors_error = f"{vectors_path}:{lineno}: {exc}"
+            continue
         doc_ids.append(unquote(parts[0]))
-        vectors.append(vec)
+        dims.extend(line_dims)
+        weights.extend(line_weights)
+        offsets.append(len(dims))
+    for dim, count in enumerate(df.values()):
+        if not 1 <= count <= n_docs:
+            raise ValueError(f"{vocab_path}:{dim + 1}: document frequency {count} outside 1..{n_docs}")
+    if vocab_error or vectors_error:
+        raise ValueError(vocab_error or vectors_error)
     return RetrievalIndex(
         doc_ids=doc_ids,
         documents=list(doc_ids),
-        vectors=vectors,
+        offsets=offsets,
+        dims=dims,
+        weights=weights,
         vocabulary=vocabulary,
         df=df,
     )
 
 
-def _first_repeat(pairs: list[str]) -> int:
-    """The first dimension of ``dim:weight`` pairs that an earlier pair holds (one must)."""
+def _checked_vector(entries: list[tuple[int, float]], n_dims: int) -> tuple[tuple, tuple]:
+    """The dimensions and weights of ``entries``, if load_index accepts them.
+
+    Anything else raises ValueError.
+    """
+    if not entries:
+        return (), ()
+    dims, weights = zip(*entries)
+    if len(set(dims)) < len(dims):
+        raise ValueError(f"repeated dimension {_first_repeat(dims)}")
+    if min(dims) < 0 or max(dims) >= n_dims:
+        raise ValueError(f"dimension outside 0..{n_dims - 1}")
+    if not all(map(math.isfinite, weights)) or min(weights) < 0.0 or max(weights) > 1.0:
+        raise ValueError("weights must be finite, non-negative and at most 1")
+    if sum(map(operator.mul, weights, weights)) > 1.0 + 1e-9:
+        raise ValueError("vector norm above 1")
+    return dims, weights
+
+
+def _first_repeat(dims: tuple[int, ...]) -> int:
+    """The first of ``dims`` that an earlier one equals (one must)."""
     seen = set()
-    for pair in pairs:
-        dim = int(pair.split(":")[0])
+    for dim in dims:
         if dim in seen:
             return dim
         seen.add(dim)

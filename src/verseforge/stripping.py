@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .corpus import RESERVED_TOKENS, Document, Verse, is_number, is_punctuation, join_lines
-from .corpus import load_word_list as load_stopwords
+from .corpus import load_word_list as load_stopwords, read_lines
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -79,7 +79,7 @@ class SynonymLexicon:
         and dropped whole.
         """
         entries: dict[str, tuple[str, ...]] = {}
-        for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
+        for raw in read_lines(path):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import unquote
 
@@ -19,11 +20,7 @@ from verseforge.phonetics import (
     strip_stress,
     transcribe,
 )
-from verseforge.selection import (
-    VECTORS_FILE,
-    VOCAB_FILE,
-    RetrievalIndex,
-)
+from verseforge.selection import VECTORS_FILE, VOCAB_FILE
 
 DATA_DIR = Path(__file__).parent / "data"
 PKG_DATA_DIR = Path(__file__).parent.parent / "src" / "verseforge" / "data"
@@ -189,9 +186,25 @@ def reference_stopwords() -> frozenset[str]:
     return frozenset(w for w in words if w)
 
 
+@dataclass
+class ReferenceIndex:
+    """What a reference builder or loader returns: one dict per document."""
+
+    doc_ids: list[str]
+    documents: list
+    vectors: list[dict[int, float]]
+    vocabulary: dict[str, int]
+    df: dict[str, int]
+    stopwords: frozenset[str] = frozenset()
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.doc_ids)
+
+
 def reference_build_index(
     docs: list, min_df: int = 1, stopwords: frozenset[str] | None = None
-) -> RetrievalIndex:
+) -> ReferenceIndex:
     """Reference: the TF-IDF builder that keeps every filtered token list.
 
     It computes each idf once per document that holds the term. Ids,
@@ -208,7 +221,7 @@ def reference_build_index(
             df[term] = df.get(term, 0) + 1
     df = {t: c for t, c in df.items() if c >= min_df}
     vocabulary = {term: dim for dim, term in enumerate(sorted(df))}
-    return RetrievalIndex(
+    return ReferenceIndex(
         doc_ids=[reference_doc_id(d, i) for i, d in enumerate(docs)],
         documents=list(docs),
         vectors=[
@@ -221,12 +234,12 @@ def reference_build_index(
     )
 
 
-def reference_load_index(dir_path: str | Path) -> RetrievalIndex:
+def reference_load_index(dir_path: str | Path) -> ReferenceIndex:
     """Reference: the index loader that holds every line of both files.
 
-    It parses each dimension with ``int()``, so every key is a new ``int``,
-    and rejects a line that repeats a dimension once the line has parsed,
-    raising :func:`load_index`'s messages.
+    It checks every vocabulary line before any vectors line, and rejects a
+    line that repeats a dimension once the line has parsed, raising
+    :func:`load_index`'s messages.
     """
     dir_path = Path(dir_path)
     vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
@@ -272,7 +285,7 @@ def reference_load_index(dir_path: str | Path) -> RetrievalIndex:
             raise ValueError(f"{vectors_path}:{lineno}: {exc}") from None
         doc_ids.append(unquote(parts[0]))
         vectors.append(vec)
-    return RetrievalIndex(
+    return ReferenceIndex(
         doc_ids=doc_ids,
         documents=list(doc_ids),
         vectors=vectors,

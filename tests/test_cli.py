@@ -985,3 +985,59 @@ def test_leading_byte_order_mark_is_ignored(tmp_path, name):
             (d / file_name).write_text(prefix + text, encoding="utf-8")
         loaded.append(load(d))
     assert loaded[0] == loaded[1]
+
+
+# Each loader behind a command, the files it reads, and the file that holds
+# a byte that is not UTF-8 on its second line.
+INDEX_FILES = {VOCAB_FILE: b"cat\t0\t1\ndog\t1\t1\n", VECTORS_FILE: b"d0 0:1\nd1 1:1\n"}
+BAD_UTF8_INPUTS = {
+    "word list": (
+        lambda d: ["strip", MINI / "doc_a.txt", "--stopwords", d / "in.txt"],
+        {"in.txt": b"the\n\xff\n"}, "in.txt",
+    ),
+    "deny list": (
+        lambda d: ["enhance", MINI / "doc_a.txt", "--corpus", MINI, "--lexicon", LEXICON,
+                   "--deny", d / "in.txt"],
+        {"in.txt": b"gold\nsoul \xff\n"}, "in.txt",
+    ),
+    "document": (lambda d: ["strip", d / "in.txt"], {"in.txt": b"the cat\nsat \xff\n"}, "in.txt"),
+    "prose corpus": (
+        lambda d: ["strip", d / "in.txt", "--kind", "news"], {"in.txt": b"storm\n\xffcalm\n"}, "in.txt"
+    ),
+    "synonyms": (
+        lambda d: ["strip", MINI / "doc_a.txt", "--noise", "synonym", "--synonyms", d / "in.tsv"],
+        {"in.tsv": b"gold\tore\n\xff\tx\n"}, "in.tsv",
+    ),
+    "hypotheses": (
+        lambda d: ["rerank", "--hypotheses", d / "in.jsonl", "--lexicon", LEXICON],
+        {"in.jsonl": b'{"rank": 0, "text": "go"}\n{"rank": 1, "text": "\xff"}\n'}, "in.jsonl",
+    ),
+    "word vectors": (
+        lambda d: ["retrieve", "--query", MINI / "doc_a.txt", "--corpus", MINI, "--vectors", d / "in.txt"],
+        {"in.txt": b"gold 1 0\n\xff 0 1\n"}, "in.txt",
+    ),
+    "index vocabulary": (
+        lambda d: ["retrieve", "--query", MINI / "doc_a.txt", "--index-dir", d],
+        {**INDEX_FILES, VOCAB_FILE: b"cat\t0\t1\nd\xffg\t1\t1\n"}, VOCAB_FILE,
+    ),
+    "index vectors": (
+        lambda d: ["retrieve", "--query", MINI / "doc_a.txt", "--index-dir", d],
+        {**INDEX_FILES, VECTORS_FILE: b"d0 0:1\nd1 1:\xff\n"}, VECTORS_FILE,
+    ),
+    "config": (
+        lambda d: ["pipeline", MINI / "doc_a.txt", "--config", d / "in.json"],
+        {"in.json": b'{"seed": 3,\n "x": "\xff"}'}, "in.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_UTF8_INPUTS)
+def test_invalid_utf8_names_file_and_line(capsys, tmp_path, name):
+    argv, files, bad = BAD_UTF8_INPUTS[name]
+    for file_name, data in files.items():
+        (tmp_path / file_name).write_bytes(data)
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": f"{tmp_path / bad}:2: invalid UTF-8 byte 0xff (invalid start byte)"
+    }

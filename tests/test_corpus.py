@@ -1,11 +1,14 @@
+import codecs
 import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verseforge import corpus
 from verseforge.corpus import (
     _TOKEN_RE,
     NL_TOKEN,
@@ -23,6 +26,8 @@ from verseforge.corpus import (
     load_corpus,
     load_document,
     punctuation_in,
+    read_lines,
+    read_text,
     split_flat,
     split_verses,
     tokenize,
@@ -352,6 +357,78 @@ class TestLoaders:
         path.write_bytes(newline.join(["a b", "", "c\x0cd", ""]).encode("utf-8"))
         docs = load_corpus(path, "news")
         assert [(d.id, d.lines) for d in docs] == [("f:0", [["a", "b"]]), ("f:2", [["c"], ["d"]])]
+
+
+# Lines hold no line break; each ends with one of str.splitlines's breaks,
+# and only "\n", "\r\n" and "\r" end a line for open().
+LINE_TEXT = st.text(
+    st.characters(
+        blacklist_categories=("Cs",), blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    ),
+    min_size=1,
+)
+OPEN_BREAKS = ["\n", "\r\n", "\r"]
+SPLITLINES_BREAKS = OPEN_BREAKS + ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def broken_file(draw, breaks):
+    """Lines ended by ``breaks`` and the bytes of their file, one byte of
+    which is not UTF-8 when asked; with the 1-based line of that byte."""
+    lines = draw(st.lists(st.tuples(LINE_TEXT, st.sampled_from(breaks)), min_size=1, max_size=8))
+    parts = [(text + brk).encode("utf-8") for text, brk in lines]
+    bad_line = draw(st.integers(0, len(parts) - 1))
+    cut = len(lines[bad_line][0][: draw(st.integers(0, len(lines[bad_line][0])))].encode("utf-8"))
+    parts[bad_line] = parts[bad_line][:cut] + b"\xff" + parts[bad_line][cut:]
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    return bom + b"".join(parts), bad_line + 1
+
+
+class TestReaders:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(st.sampled_from("ab\u00e9\u20ac\U0001f600" + "".join(SPLITLINES_BREAKS)), max_size=40),
+        bom=st.booleans(),
+        block=st.integers(1, 8),
+    )
+    def test_lines_and_text_match_open(self, text, bom, block):
+        # Small blocks split lines, "\r\n" pairs and multi-byte characters.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
+            with mock.patch.object(corpus, "_BLOCK_BYTES", block):
+                lines = list(read_lines(path))
+            assert lines == path.read_text(encoding="utf-8-sig").splitlines()
+            assert read_text(path) == path.read_text(encoding="utf-8-sig")
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=broken_file(SPLITLINES_BREAKS), block=st.integers(1, 8))
+    def test_lines_name_the_line_of_a_bad_byte(self, case, block):
+        data, lineno = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            path.write_bytes(data)
+            with mock.patch.object(corpus, "_BLOCK_BYTES", block), pytest.raises(ValueError) as info:
+                list(read_lines(path))
+        assert str(info.value) == f"{path}:{lineno}: invalid UTF-8 byte 0xff (invalid start byte)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=broken_file(OPEN_BREAKS))
+    def test_text_names_the_line_of_a_bad_byte(self, case):
+        data, lineno = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as info:
+                read_text(path)
+        assert str(info.value) == f"{path}:{lineno}: invalid UTF-8 byte 0xff (invalid start byte)"
+
+    def test_truncated_sequence_is_named(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("a\nb\u20ac".encode("utf-8")[:-1])
+        for read in (read_text, lambda p: list(read_lines(p))):
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: invalid UTF-8 byte 0xe2 \(unexpected end of data\)$"):
+                read(path)
 
 
 class TestReservedTokens:

@@ -199,7 +199,7 @@ def as_shape(tokens: list[str], shape: str, i: int):
 class TestTfIdfIndex:
     def test_single_doc_degenerate_idf(self):
         index = build_index([make_doc("cat dog", "d0")], stopwords=NO_STOP)
-        assert index.vectors == [{}]
+        assert list(index.vectors) == [{}]
         results = retrieve(index, make_doc("cat dog", "q"))
         assert results[0][1] == 0.0
 
@@ -321,6 +321,47 @@ class TestTfIdfIndex:
         assert exact(_query_vector(index, query).items()) == exact(qvec.items())
 
 
+class TestVectorsView:
+    @pytest.fixture
+    def index(self):
+        rng = random.Random(1)
+        return build_index([rng.sample(WIDE_TERMS, 6) for _ in range(500)], stopwords=NO_STOP)
+
+    def test_len_builds_no_dicts(self, index):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                n = len(index.vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 500
+        assert peak - before < 4096  # every document's dict would take over 200 KB
+
+    def test_items_are_the_reference_dicts(self, index):
+        docs = [list(doc) for doc in index.documents]
+        want = reference_build_index(docs, stopwords=NO_STOP).vectors
+        view = index.vectors
+        assert [exact(view[i].items()) for i in range(len(view))] == [exact(v.items()) for v in want]
+        assert view[-1] == want[-1] and list(reversed(view)) == want[::-1]
+        with pytest.raises(IndexError):
+            view[500]
+
+    def test_equal_views_hold_equal_arrays(self, index, tmp_path):
+        save_index(index, tmp_path)
+        assert load_index(tmp_path).vectors == index.vectors
+        other = build_index([list(doc) for doc in index.documents[1:]], stopwords=NO_STOP)
+        assert other.vectors != index.vectors
+        assert index.vectors != list(index.vectors)
+
+    def test_view_is_read_only(self, index):
+        view = index.vectors
+        assert not hasattr(view, "__setitem__") and not hasattr(view, "append")
+        with pytest.raises(TypeError):
+            view[0] = {}
+
+
 class TestPostingsRetrieval:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -367,6 +408,28 @@ class TestPostingsRetrieval:
         assert list(post_docs) == [0, 1, 0, 1]
         assert list(weights) == [index.vectors[0][0], index.vectors[1][0],
                                  index.vectors[0][1], index.vectors[1][2]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.just([0.0, 0.0, 0.0]) | st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+            min_size=1, max_size=5,
+        ),
+        docs=st.lists(st.lists(st.integers(0, 6), max_size=6), min_size=1, max_size=8),
+        query=st.lists(st.integers(0, 6), max_size=6),
+        k=st.integers(-1, 10),
+    )
+    def test_word_vector_index_matches_linear_scan(self, rows, docs, query, k):
+        # Words w5 and w6 may have no vector; rows may be zero or negative.
+        vectors = {f"w{i}": row for i, row in enumerate(rows)}
+        docs = [[f"w{i}" for i in doc] for doc in docs]
+        query = [f"w{i}" for i in query]
+        index = build_vector_index(docs, vectors, stopwords=NO_STOP)
+        # Each stored vector keeps the bits of the same text embedded as a query.
+        assert [exact(v.items()) for v in index.vectors] == [
+            exact(_query_vector(index, doc).items()) for doc in docs
+        ]
+        assert exact(retrieve_indices(index, query, k)) == exact(scan_retrieve_indices(index, query, k))
 
     def test_word_vector_index_builds_no_postings(self):
         vectors = {"cat": [1.0, 0.0], "dog": [-1.0, 0.5]}
@@ -550,16 +613,23 @@ class TestPersistence:
             retrieve_indices(index, query, k)
         )
 
-    def test_loaded_keys_are_the_vocabulary_ints(self, tmp_path):
-        # Above 256, where CPython keeps no shared int of its own.
-        docs = [[f"t{i}", f"t{i * 7 % 600}", "every"] for i in range(600)]
-        index = build_index(docs, stopwords=NO_STOP)
-        save_index(index, tmp_path / "idx")
-        loaded = load_index(tmp_path / "idx")
-        own = list(loaded.vocabulary.values())
-        assert own == list(range(len(own))) and len(own) > 300
-        assert all(d is own[d] for vec in loaded.vectors for d in vec)
-        assert loaded.vectors == index.vectors
+    def test_index_retains_at_most_24_bytes_per_entry(self, tmp_path):
+        # Flat arrays hold 12 bytes per entry and 8 per document; one dict
+        # per document held 56 bytes per entry here.
+        rng = random.Random(0)
+        words = [f"w{i}" for i in range(300)]
+        docs = [rng.sample(words, 20) for _ in range(3000)]
+        save_index(build_index(docs, stopwords=NO_STOP), tmp_path)
+        for make in (lambda: build_index(docs, stopwords=NO_STOP), lambda: load_index(tmp_path)):
+            tracemalloc.start()
+            try:
+                index = make()
+                # Free all but the vectors: the vocabulary, df and ids.
+                index.vocabulary = index.df = index.doc_ids = index.documents = None
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert retained <= 24 * len(index.dims)
 
     def test_load_never_holds_the_lines_beside_the_index(self, tmp_path):
         # Holding every vectors.txt line until the index is complete peaks
@@ -577,6 +647,21 @@ class TestPersistence:
             tracemalloc.stop()
         assert len(loaded.vectors) == 3000
         assert peak - retained < size / 4
+
+    @pytest.mark.parametrize(
+        "vocab, vectors, where",
+        [
+            (b"cat\t0\t9\n", b"d0 0:1\nd1\n\xff\n", "vectors.txt:3"),  # df above N
+            (b"cat\t0\t1\n", b"d0 0:2\nd1\n\xff\n", "vectors.txt:3"),  # weight above 1
+            (b"cat\t0\t1\n\xff\n", b"d0 0:\xff\n", "vocabulary.tsv:2"),
+        ],
+    )
+    def test_invalid_utf8_is_reported_first(self, tmp_path, vocab, vectors, where):
+        (tmp_path / "vocabulary.tsv").write_bytes(vocab)
+        (tmp_path / "vectors.txt").write_bytes(vectors)
+        with pytest.raises(ValueError) as info:
+            load_index(tmp_path)
+        assert str(info.value) == f"{tmp_path}/{where}: invalid UTF-8 byte 0xff (invalid start byte)"
 
     @settings(max_examples=400, deadline=None)
     @given(files=index_files())
@@ -650,5 +735,5 @@ class TestVectorIndex:
         expected = {}
         if known:
             mean = [sum(r[d] for r in known) / len(known) for d in range(3)]
-            expected = _normalize({d: v for d, v in enumerate(mean) if v != 0.0})
-        assert _embed(tokens, vectors, NO_STOP) == expected
+            expected = _normalize([(d, v) for d, v in enumerate(mean) if v != 0.0])
+        assert _normalize(_embed(tokens, vectors, NO_STOP)) == expected
