@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 from urllib.parse import quote, unquote
 
 from .corpus import Document, Verse, read_lines, read_text, split_flat
@@ -103,64 +102,69 @@ def rerank(
     return best
 
 
-class Postings(NamedTuple):
-    """Inverted TF-IDF index: term dimension -> (document, weight) pairs.
+@dataclass(frozen=True)
+class SparseRows(Sequence):
+    """Rows of (column, weight) entries, held as three flat arrays.
 
-    The postings of dimension ``d`` are ``docs[offsets[d]:offsets[d + 1]]``
-    with the matching ``weights``, documents in ascending position.
+    The entries of row ``i`` are ``cols[offsets[i]:offsets[i + 1]]`` with
+    the matching ``weights``. ``len`` costs O(1). Item ``i`` is a new
+    ``{column: weight}`` dict of row ``i``, keys in stored order. Two
+    instances are equal when their arrays are.
     """
 
-    offsets: array  # 'q', one entry per dimension plus one
-    docs: array  # 'i', document positions
-    weights: array  # 'd', the weight of the dimension in that document
-
-
-class VectorsView(Sequence):
-    """Read-only view of an index's arrays as one dict per document.
-
-    ``len`` costs O(1). Item ``i`` is a new ``{dimension: weight}`` dict of
-    document ``i``, keys in stored order. Two views are equal when their
-    arrays are.
-    """
-
-    __slots__ = ("offsets", "dims", "weights")
-
-    def __init__(self, offsets: array, dims: array, weights: array):
-        self.offsets, self.dims, self.weights = offsets, dims, weights
+    offsets: array = field(default_factory=lambda: array("q", [0]))  # one per row, plus one
+    cols: array = field(default_factory=lambda: array("i"))
+    weights: array = field(default_factory=lambda: array("d"))
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
     def __getitem__(self, i: int) -> dict[int, float]:
-        i = range(len(self))[i]
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return dict(zip(self.dims[lo:hi], self.weights[lo:hi]))
+        return dict(zip(*self.row(range(len(self))[i])))
 
-    def __eq__(self, other):
-        if not isinstance(other, VectorsView):
-            return NotImplemented
-        return (self.offsets, self.dims, self.weights) == (other.offsets, other.dims, other.weights)
+    def row(self, i: int) -> tuple[array, array]:
+        """The columns and weights of row ``i``, for ``0 <= i < len(self)``."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return self.cols[lo:hi], self.weights[lo:hi]
+
+    def transposed(self, n_cols: int) -> SparseRows:
+        """The same entries by column, counting-sorted: row ``c`` lists the rows
+        holding column ``c``, ascending, with their weights. Every column is
+        below ``n_cols``.
+        """
+        offsets = array("q", [0]) * (n_cols + 1)
+        for col, n in Counter(self.cols).items():
+            offsets[col + 1] = n
+        for col in range(n_cols):
+            offsets[col + 1] += offsets[col]
+        rows = array("i", [0]) * len(self.cols)
+        weights = array("d", [0.0]) * len(self.cols)
+        free = offsets[:-1]
+        for r in range(len(self)):
+            for col, w in zip(*self.row(r)):
+                slot = free[col]
+                rows[slot] = r
+                weights[slot] = w
+                free[col] = slot + 1
+        return SparseRows(offsets, rows, weights)
 
 
 @dataclass
 class RetrievalIndex:
-    """Sparse index over a fixed document list, held as flat doc-major arrays.
+    """Sparse index over a fixed document list.
 
-    The entries of document ``i`` are ``dims[offsets[i]:offsets[i + 1]]``
-    with the matching ``weights``: dimension and L2-normalized weight,
-    ascending by dimension in a built index. A TF-IDF index's dimensions
-    are ``0..len(vocabulary) - 1`` and its weights are finite and
-    non-negative. :attr:`vectors` is a read-only view of the arrays as one
-    dict per document. Documents loaded back from disk are represented by
-    their ids only. The first TF-IDF query builds :attr:`postings` from
-    the arrays and keeps it, so do not mutate them after that.
+    :attr:`vectors` holds one row per document: dimension and L2-normalized
+    weight, ascending by dimension in a built index. A TF-IDF index's
+    dimensions are ``0..len(vocabulary) - 1`` and its weights are finite
+    and non-negative. Documents loaded back from disk are represented by
+    their ids only. The first TF-IDF query builds :attr:`postings`, the
+    vectors transposed, and keeps it, so do not mutate the vectors after
+    that.
     """
 
     doc_ids: list[str]
     documents: list
-    offsets: array  # 'q', one entry per document plus one
-    dims: array  # 'i'
-    weights: array  # 'd'
+    vectors: SparseRows
     vocabulary: dict[str, int]
     df: dict[str, int]
     word_vectors: dict[str, list[float]] | None = None
@@ -170,29 +174,10 @@ class RetrievalIndex:
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    @property
-    def vectors(self) -> VectorsView:
-        return VectorsView(self.offsets, self.dims, self.weights)
-
     @cached_property
-    def postings(self) -> Postings:
-        """Postings of every dimension: the entries counting-sorted by dimension."""
-        n_dims = len(self.vocabulary)
-        offsets = array("q", [0]) * (n_dims + 1)
-        for dim, n in Counter(self.dims).items():
-            offsets[dim + 1] = n
-        for dim in range(n_dims):
-            offsets[dim + 1] += offsets[dim]
-        docs = array("i", [0]) * len(self.dims)
-        weights = array("d", [0.0]) * len(self.dims)
-        free = offsets[:-1]
-        for doc, (lo, hi) in enumerate(itertools.pairwise(self.offsets)):
-            for dim, w in zip(self.dims[lo:hi], self.weights[lo:hi]):
-                slot = free[dim]
-                docs[slot] = doc
-                weights[slot] = w
-                free[dim] = slot + 1
-        return Postings(offsets, docs, weights)
+    def postings(self) -> SparseRows:
+        """One row per dimension: the documents holding it, ascending, with weights."""
+        return self.vectors.transposed(len(self.vocabulary))
 
 
 def _tokens_of(obj) -> list[str]:
@@ -226,15 +211,15 @@ def _normalize(entries: list[tuple[int, float]]) -> dict[int, float]:
     return {d: w / norm for d, w in entries} if norm else {}
 
 
-def _append_vector(index: RetrievalIndex, entries: list[tuple[int, float]], norm: float) -> None:
+def _append_vector(vectors: SparseRows, entries: list[tuple[int, float]], norm: float) -> None:
     """Store the next document's entries, each weight divided by ``norm``.
 
     A zero ``norm`` stores none: every weight is 0.
     """
     if norm:
-        index.dims.extend([d for d, _ in entries])
-        index.weights.extend([w / norm for _, w in entries])
-    index.offsets.append(len(index.dims))
+        vectors.cols.extend([d for d, _ in entries])
+        vectors.weights.extend([w / norm for _, w in entries])
+    vectors.offsets.append(len(vectors.cols))
 
 
 def _new_index(docs: list, stopwords: frozenset[str] | None) -> RetrievalIndex:
@@ -244,9 +229,7 @@ def _new_index(docs: list, stopwords: frozenset[str] | None) -> RetrievalIndex:
     return RetrievalIndex(
         doc_ids=[_id_of(d, i) for i, d in enumerate(docs)],
         documents=list(docs),
-        offsets=array("q", [0]),
-        dims=array("i"),
-        weights=array("d"),
+        vectors=SparseRows(),
         vocabulary={},
         df={},
         stopwords=default_stopwords() if stopwords is None else stopwords,
@@ -278,7 +261,7 @@ def build_index(
         entries = _weigh(counts.pop(), terms)
         norm = _norm(entries)
         entries.sort()
-        _append_vector(index, entries, norm)
+        _append_vector(index.vectors, entries, norm)
     return index
 
 
@@ -308,7 +291,7 @@ def build_vector_index(
     index.word_vectors = word_vectors
     for d in docs:
         entries = _embed(_tokens_of(d), word_vectors, index.stopwords)
-        _append_vector(index, entries, _norm(entries))
+        _append_vector(index.vectors, entries, _norm(entries))
     return index
 
 
@@ -383,63 +366,60 @@ def _cosine(qvec: dict[int, float], index: RetrievalIndex, doc: int):
     document's order is its stored order. Only a document summed in the
     query's order is put in a dict.
     """
-    lo, hi = index.offsets[doc], index.offsets[doc + 1]
-    dims, weights = index.dims[lo:hi], index.weights[lo:hi]
+    dims, weights = index.vectors.row(doc)
     if len(qvec) <= len(dims):
         dvec = dict(zip(dims, weights))
         return sum(w * dvec.get(d, 0.0) for d, w in qvec.items())
     return sum(w * qvec.get(d, 0.0) for d, w in zip(dims, weights))
 
 
-def _top_k(sims, positions, k: int) -> list[int]:
-    """The k positions of highest similarity, ties by position.
+def _postings_candidates(index: RetrievalIndex, qvec: dict[int, float], k: int) -> list[int]:
+    """The documents that can rank in the top k, ascending, scored through postings.
 
-    ``positions`` must ascend: ``heapq.nlargest`` is stable, so among equal
-    similarities the earlier position wins.
+    Postings sum each document in query order; _cosine sums in the shorter
+    vector's order, which can round differently. Only documents within the
+    reordering margin of the k-th best can reach the top k, so only they
+    need the exact sum.
     """
-    return heapq.nlargest(k, positions, key=sims.__getitem__)
+    postings = index.postings
+    acc: dict[int, float] = {}
+    get = acc.get
+    for d, qw in qvec.items():
+        for doc, w in zip(*postings.row(d)):
+            acc[doc] = get(doc, 0.0) + qw * w
+    cut = 0.0
+    if k < len(acc):
+        kth = heapq.nlargest(k, acc.values())[-1]
+        cut = kth * (1.0 - len(qvec) * _REORDER_MARGIN)
+    return sorted(doc for doc, s in acc.items() if s > 0.0 and s >= cut)
 
 
 def retrieve_indices(index: RetrievalIndex, query, k: int = 1) -> list[tuple[int, float]]:
     """Top-k (document position, cosine similarity), ties by insertion order.
 
     Similarities are bit-identical to scoring every document with
-    :func:`_cosine`. Word-vector indexes are dense and are scored that way;
-    TF-IDF indexes score term-at-a-time over :attr:`RetrievalIndex.postings`.
+    :func:`_cosine`. A word-vector index is dense, so every document is a
+    candidate; a TF-IDF index takes its candidates from
+    :attr:`RetrievalIndex.postings`. Both score the candidates exactly and
+    rank them the same way.
     """
     qvec = _query_vector(index, query)
     k = len(range(index.n_docs)[:k])  # as many as [:k] of a full ranking
     if k == 0:
         return []
-    if index.word_vectors is not None:
-        sims = [_cosine(qvec, index, doc) for doc in range(index.n_docs)]
-        return [(i, sims[i]) for i in _top_k(sims, range(len(sims)), k)]
-    offsets, docs, weights = index.postings
-    acc: dict[int, float] = {}
-    get = acc.get
-    for d, qw in qvec.items():
-        lo, hi = offsets[d], offsets[d + 1]
-        for doc, w in zip(docs[lo:hi], weights[lo:hi]):
-            acc[doc] = get(doc, 0.0) + qw * w
-    # acc sums in query order; _cosine sums in the shorter vector's order,
-    # which can round differently. Only documents within the reordering
-    # margin of the k-th best can reach the top k, so only they are
-    # rescored exactly.
-    cut = 0.0
-    if 0 < k < len(acc):
-        kth = heapq.nlargest(k, acc.values())[-1]
-        cut = kth * (1.0 - len(qvec) * _REORDER_MARGIN)
-    exact = {
-        doc: _cosine(qvec, index, doc)
-        for doc, s in acc.items()
-        if s > 0.0 and s >= cut
-    }
-    ranked = _top_k(exact, sorted(exact), k)
-    # Fewer than k positive scores: every other document scores zero, and
-    # zeros tie, so they follow in insertion order.
+    if index.word_vectors is None:
+        candidates = _postings_candidates(index, qvec, k)
+    else:
+        candidates = range(index.n_docs)
+    exact = {doc: _cosine(qvec, index, doc) for doc in candidates}
+    # The candidates ascend and heapq.nlargest is stable, so among equal
+    # similarities the earlier position wins.
+    ranked = heapq.nlargest(k, exact, key=exact.__getitem__)
+    # Fewer than k candidates: every other document scores zero, and zeros
+    # tie, so they follow in insertion order.
     unscored = (i for i in range(index.n_docs) if i not in exact)
     ranked += itertools.islice(unscored, k - len(ranked))
-    starts = index.offsets
+    starts = index.vectors.offsets
     return [
         (i, exact[i] if i in exact else 0.0 if qvec and starts[i] < starts[i + 1] else 0)
         for i in ranked
@@ -478,10 +458,9 @@ def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
     with (dir_path / VOCAB_FILE).open("w", encoding="utf-8") as fh:
         for term, dim in sorted(index.vocabulary.items(), key=lambda kv: kv[1]):
             fh.write(f"{_escape(term)}\t{dim}\t{index.df[term]}\n")
-    dims, weights = index.dims, index.weights
     with (dir_path / VECTORS_FILE).open("w", encoding="utf-8") as fh:
-        for doc_id, (lo, hi) in zip(index.doc_ids, itertools.pairwise(index.offsets)):
-            pairs = " ".join(map("{}:{:.17g}".format, dims[lo:hi], weights[lo:hi]))
+        for doc, doc_id in enumerate(index.doc_ids):
+            pairs = " ".join(map("{}:{:.17g}".format, *index.vectors.row(doc)))
             fh.write(f"{_escape(doc_id)} {pairs}".rstrip() + "\n")
 
 
@@ -526,7 +505,7 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
         vocabulary[term] = dim
         df[term] = count
     doc_ids: list[str] = []
-    offsets, dims, weights = array("q", [0]), array("i"), array("d")
+    vectors = SparseRows()
     for lineno, raw in enumerate(read_lines(vectors_path), start=1):
         n_docs = lineno
         if vectors_error:
@@ -539,9 +518,9 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
             vectors_error = f"{vectors_path}:{lineno}: {exc}"
             continue
         doc_ids.append(unquote(parts[0]))
-        dims.extend(line_dims)
-        weights.extend(line_weights)
-        offsets.append(len(dims))
+        vectors.cols.extend(line_dims)
+        vectors.weights.extend(line_weights)
+        vectors.offsets.append(len(vectors.cols))
     for dim, count in enumerate(df.values()):
         if not 1 <= count <= n_docs:
             raise ValueError(f"{vocab_path}:{dim + 1}: document frequency {count} outside 1..{n_docs}")
@@ -550,9 +529,7 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
     return RetrievalIndex(
         doc_ids=doc_ids,
         documents=list(doc_ids),
-        offsets=offsets,
-        dims=dims,
-        weights=weights,
+        vectors=vectors,
         vocabulary=vocabulary,
         df=df,
     )

@@ -364,6 +364,28 @@ def predictor_server():
         yield address
 
 
+def test_served_corpus_predictor_enhances_as_the_in_process_one(capsys):
+    # The served predictor is built as scripts/predictor_server.py builds it
+    # without --lexicon.
+    from verseforge.cli import main
+    from conftest import DATA_DIR, PKG_DATA_DIR
+
+    mini = str(DATA_DIR / "mini_corpus")
+    lexicon = str(PKG_DATA_DIR / "cmudict_sample.txt")
+    script = _load_predictor_server()
+    verses = [v for doc in script.load_corpus(mini, "lyrics") for v in script.split_verses(doc, 4)]
+    with _serving(script.build_corpus_predictor(verses, script.Lexicon())) as (host, port):
+        endpoint = f"http://{host}:{port}"
+        code = main(["enhance", mini, "--predictor", "remote", "--endpoint", endpoint, "--lexicon", lexicon])
+        remote = capsys.readouterr().out
+    assert code == 0
+    assert main(["enhance", mini, "--predictor", "corpus", "--corpus", mini, "--lexicon", lexicon]) == 0
+    assert capsys.readouterr().out == remote
+    records = [json.loads(line) for line in remote.splitlines()]
+    assert {r["doc"] for r in records} == {f"doc_{c}" for c in "abcde"}
+    assert any(r["replaced"] for r in records)
+
+
 def _post(address, body: bytes, length: str | None = None):
     conn = http.client.HTTPConnection(*address, timeout=5)
     try:

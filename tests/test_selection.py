@@ -321,7 +321,7 @@ class TestTfIdfIndex:
         assert exact(_query_vector(index, query).items()) == exact(qvec.items())
 
 
-class TestVectorsView:
+class TestSparseRows:
     @pytest.fixture
     def index(self):
         rng = random.Random(1)
@@ -342,24 +342,34 @@ class TestVectorsView:
     def test_items_are_the_reference_dicts(self, index):
         docs = [list(doc) for doc in index.documents]
         want = reference_build_index(docs, stopwords=NO_STOP).vectors
-        view = index.vectors
-        assert [exact(view[i].items()) for i in range(len(view))] == [exact(v.items()) for v in want]
-        assert view[-1] == want[-1] and list(reversed(view)) == want[::-1]
+        rows = index.vectors
+        assert [exact(rows[i].items()) for i in range(len(rows))] == [exact(v.items()) for v in want]
+        assert rows[-1] == want[-1] and list(reversed(rows)) == want[::-1]
         with pytest.raises(IndexError):
-            view[500]
+            rows[500]
 
-    def test_equal_views_hold_equal_arrays(self, index, tmp_path):
+    def test_equal_rows_hold_equal_arrays(self, index, tmp_path):
         save_index(index, tmp_path)
         assert load_index(tmp_path).vectors == index.vectors
         other = build_index([list(doc) for doc in index.documents[1:]], stopwords=NO_STOP)
         assert other.vectors != index.vectors
         assert index.vectors != list(index.vectors)
 
-    def test_view_is_read_only(self, index):
-        view = index.vectors
-        assert not hasattr(view, "__setitem__") and not hasattr(view, "append")
+    def test_rows_are_read_only(self, index):
+        rows = index.vectors
+        assert not hasattr(rows, "__setitem__") and not hasattr(rows, "append")
         with pytest.raises(TypeError):
-            view[0] = {}
+            rows[0] = {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.sampled_from(WIDE_TERMS + ["the"]), max_size=12), min_size=1, max_size=8),
+        min_df=st.integers(1, 3),
+    )
+    def test_postings_transpose_back_to_the_vectors(self, docs, min_df):
+        index = build_index(docs, min_df=min_df, stopwords=STOP)
+        assert index.postings.transposed(index.n_docs) == index.vectors
+        assert all(list(row) == sorted(row) for row in index.postings)
 
 
 class TestPostingsRetrieval:
@@ -403,11 +413,11 @@ class TestPostingsRetrieval:
         index = build_index(docs, stopwords=NO_STOP)
         assert "postings" not in vars(index)
         retrieve_indices(index, make_doc("cat", "q"))
-        offsets, post_docs, weights = index.postings
-        assert list(offsets) == [0, 2, 3, 4]  # cat, dog, fish
-        assert list(post_docs) == [0, 1, 0, 1]
-        assert list(weights) == [index.vectors[0][0], index.vectors[1][0],
-                                 index.vectors[0][1], index.vectors[1][2]]
+        postings = index.postings
+        assert list(postings.offsets) == [0, 2, 3, 4]  # cat, dog, fish
+        assert list(postings.cols) == [0, 1, 0, 1]
+        assert list(postings.weights) == [index.vectors[0][0], index.vectors[1][0],
+                                          index.vectors[0][1], index.vectors[1][2]]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -579,6 +589,22 @@ class TestPersistence:
 
     @settings(max_examples=100, deadline=None)
     @given(
+        terms=st.lists(st.text(), min_size=1, max_size=5, unique=True),
+        picks=st.lists(st.lists(st.integers(0, 4), max_size=6), min_size=1, max_size=4),
+        ids=st.lists(st.text(), min_size=4, max_size=4),
+    )
+    def test_loaded_index_saves_byte_identical_files(self, terms, picks, ids):
+        docs = [[terms[i % len(terms)] for i in pick] for pick in picks]
+        index = replace(build_index(docs, stopwords=NO_STOP), doc_ids=ids[:len(docs)])
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            save_index(index, first)
+            save_index(load_index(first), second)
+            for name in ("vocabulary.tsv", "vectors.txt"):
+                assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
         docs=st.lists(
             st.lists(st.sampled_from(TERMS + ["the"]), max_size=40), min_size=1, max_size=12
         ),
@@ -629,7 +655,7 @@ class TestPersistence:
                 retained = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            assert retained <= 24 * len(index.dims)
+            assert retained <= 24 * len(index.vectors.cols)
 
     def test_load_never_holds_the_lines_beside_the_index(self, tmp_path):
         # Holding every vectors.txt line until the index is complete peaks
