@@ -38,6 +38,7 @@ find_alnum = re.compile(r"[^\W_]").search
 # Tokens made solely of digits, optionally with internal commas/periods
 # ("4", "1,000", "3.14"). "mid-30s" is not a number.
 _NUMBER_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
+match_number = _NUMBER_RE.match
 
 # Line-separator symbol used in all flat, single-string serializations
 # (training pairs, predictor queries, hypothesis batches).
@@ -152,7 +153,7 @@ def punctuation_in(tokens: Iterable[str]) -> set[str]:
 
 
 def is_number(token: str) -> bool:
-    return bool(_NUMBER_RE.match(token))
+    return match_number(token) is not None
 
 
 def split_verses(lyric: Document, min_lines: int = 4) -> list[Verse]:

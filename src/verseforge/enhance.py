@@ -267,6 +267,8 @@ def replaced_positions(before: Verse, after: Verse) -> list[tuple[int, int]]:
     """(line, token) coordinates where two same-shape verses differ."""
     out = []
     for li, (a, b) in enumerate(zip(before.lines, after.lines)):
+        if a == b:
+            continue
         for ti, (x, y) in enumerate(zip(a, b)):
             if x != y:
                 out.append((li, ti))

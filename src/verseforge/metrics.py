@@ -138,11 +138,13 @@ def unigram_overlap(x: list[str], y: list[str]) -> float:
     """Fraction of y's unique unigrams that appear in x.
 
     Punctuation tokens are ignored on both sides; an empty y yields 0.
+    Only y's side is filtered: the intersection with a punctuation-free
+    set can hold no punctuation token of x.
     """
     uy = set(filter(find_alnum, y))
     if not uy:
         return 0.0
-    return len(uy & set(filter(find_alnum, x))) / len(uy)
+    return len(uy.intersection(x)) / len(uy)
 
 
 def repetition_score(verse: Verse) -> float:

@@ -58,6 +58,14 @@ MIXED_TOKENS = TOY_WORDS + [
     "Day", "NIGHT", "Bat", "zorbly", "splay", "yolk", "hmm", "brr", ",", "?", "...", "'s", "x9"
 ]
 
+# Toy words plus stopwords, numbers, tokens that only look like numbers, an
+# Arabic-Indic digit, punctuation and "_", for the property tests of the
+# content-word and overlap filters.
+FILTER_TOKENS = TOY_WORDS + [
+    "the", "where", "you", "it's", "1,000", "3.14", "4", "4th", "mid-30s", "\u0663",
+    "...", "\u2014", "_", "?", "can't",
+]
+
 
 def reference_load_lexicon(path: str | Path) -> Lexicon:
     """Reference: the per-line parser that strips every phoneme separately.

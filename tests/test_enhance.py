@@ -21,7 +21,7 @@ from verseforge.enhance import (
 from verseforge.metrics import rhyme_length
 from verseforge.phonetics import Lexicon, Pronunciation
 
-from conftest import MIXED_TOKENS, TOY_WORDS, random_verse
+from conftest import FILTER_TOKENS, MIXED_TOKENS, TOY_WORDS, random_verse
 
 
 class FixedPredictor:
@@ -388,6 +388,29 @@ class TestEnhanceVerse:
             for li, ti in replaced_positions(verse, out):
                 assert ti == len(verse.lines[li]) - 1
                 assert out.lines[li][ti] not in deny
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_replaced_positions_match_the_token_walk(self, data):
+        line = st.lists(st.sampled_from(FILTER_TOKENS), max_size=6)
+        before = data.draw(st.lists(line, max_size=5))
+        if data.draw(st.booleans()):
+            # Token-by-token edits, so lines often stay equal.
+            after = [
+                [tok if data.draw(st.booleans()) else data.draw(st.sampled_from(FILTER_TOKENS))
+                 for tok in toks]
+                for toks in before
+            ]
+        else:
+            # Any shape, so lines and verses of unequal length meet.
+            after = data.draw(st.lists(line, max_size=5))
+        expected = [
+            (li, ti)
+            for li, (a, b) in enumerate(zip(before, after))
+            for ti, (x, y) in enumerate(zip(a, b))
+            if x != y
+        ]
+        assert replaced_positions(Verse(before), Verse(after)) == expected
 
     def test_deterministic(self, toy_lex):
         rng = random.Random(5)

@@ -3,9 +3,9 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from verseforge.corpus import Verse, tokenize
+from verseforge.corpus import Verse, find_alnum, tokenize
 from verseforge.metrics import (
     RhymeConfig,
     ScoredVerse,
@@ -20,7 +20,9 @@ from verseforge.metrics import (
 )
 from verseforge.phonetics import Lexicon, vowel_sequence
 
-from conftest import MIXED_TOKENS, TOY_WORDS, brute_force_lengths, random_verse, uncached_vowels
+from conftest import (
+    FILTER_TOKENS, MIXED_TOKENS, TOY_WORDS, brute_force_lengths, random_verse, uncached_vowels,
+)
 
 
 class TestRhymeLength:
@@ -172,6 +174,22 @@ class TestUnigramOverlap:
         assert 0.0 <= value <= 1.0
         if set(y) and set(y) <= set(x):
             assert value == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(FILTER_TOKENS), max_size=12),
+        st.lists(st.sampled_from(FILTER_TOKENS), max_size=12),
+    )
+    def test_matches_filtering_both_sides(self, x, y):
+        assert unigram_overlap(x, y) == two_sided_overlap_reference(x, y)
+
+
+def two_sided_overlap_reference(x, y):
+    """The overlap with punctuation filtered from x as well as from y."""
+    uy = set(filter(find_alnum, y))
+    if not uy:
+        return 0.0
+    return len(uy & set(filter(find_alnum, x))) / len(uy)
 
 
 def repetition_reference(verse):

@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verseforge.corpus import Document, Verse, tokenize
 from verseforge.stripping import (
@@ -24,7 +24,7 @@ from verseforge.stripping import (
     strip_corpus,
 )
 
-from conftest import DATA_DIR, TOY_WORDS
+from conftest import DATA_DIR, FILTER_TOKENS, TOY_WORDS
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,15 @@ class TestExtractContentWords:
     def test_provenance_recorded(self, stopwords):
         cw = extract_content_words(doc_from("propane flows", doc_id="song9"), stopwords)
         assert cw.provenance == "song9"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(FILTER_TOKENS), max_size=8), max_size=5))
+    def test_lines_follow_the_per_token_rule(self, stopwords, lines):
+        doc = Document(id="d", kind="news", lines=lines, raw="")
+        expected = tuple(
+            tuple(tok for tok in line if is_content_word(tok, stopwords)) for line in lines
+        )
+        assert extract_content_words(doc, stopwords).lines == expected
 
 
 def test_is_content_word(stopwords):
