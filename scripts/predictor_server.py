@@ -21,7 +21,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from verseforge.corpus import load_corpus, split_verses
 from verseforge.enhance import build_corpus_predictor, PredictorQuery
-from verseforge.phonetics import Lexicon, load_lexicon
+# Unused here: bench/serve.py and tests/test_remote.py build the predictor
+# through this module as build_corpus_predictor(verses, Lexicon()).
+from verseforge.phonetics import Lexicon
 
 
 def make_handler(predictor):
@@ -71,7 +73,6 @@ def make_handler(predictor):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--corpus", required=True, help="lyrics file or directory")
-    parser.add_argument("--lexicon", help="CMUdict-format lexicon (optional)")
     parser.add_argument("--min-lines", type=int, default=4)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8000)
@@ -83,8 +84,7 @@ def main() -> int:
     if not verses:
         print(f"no verses found in {args.corpus}", file=sys.stderr)
         return 1
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else Lexicon()
-    predictor = build_corpus_predictor(verses, lexicon)
+    predictor = build_corpus_predictor(verses)
     print(
         f"serving {len(predictor)}-word predictor from {len(verses)} verses "
         f"on http://{args.host}:{args.port}/predict",

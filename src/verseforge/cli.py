@@ -217,12 +217,12 @@ def _deny_list(cfg: PipelineConfig) -> frozenset[str]:
     return load_deny_list(cfg.deny_path) if cfg.deny_path else frozenset()
 
 
-def _predictor(cfg: PipelineConfig, lexicon: Lexicon) -> MaskedPredictor:
+def _predictor(cfg: PipelineConfig) -> MaskedPredictor:
     if cfg.predictor == "remote":
         return RemotePredictor(cfg.endpoint)
     if not cfg.corpus_path:
         raise ConfigError("predictor 'corpus' requires corpus_path")
-    return build_corpus_predictor(_verses(cfg.corpus_path), lexicon)
+    return build_corpus_predictor(_verses(cfg.corpus_path))
 
 
 def _strip(
@@ -261,7 +261,7 @@ class PipelineRuntime:
         stopwords = _stopwords(cfg)
         synonyms = _synonyms(cfg)
         enhance_cfg = replace(cfg.enhance, deny_list=_deny_list(cfg))
-        predictor = _predictor(cfg, lexicon)
+        predictor = _predictor(cfg)
         return cls(lexicon, stopwords, synonyms, predictor, enhance_cfg)
 
 

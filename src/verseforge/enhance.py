@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import TYPE_CHECKING, Protocol
+from urllib.parse import urlparse
 
 from .corpus import MASK_TOKEN, NL_TOKEN, Verse, load_word_list as load_deny_list
 from .metrics import rhyme_length, rhyme_length_vowels
@@ -310,8 +311,9 @@ def build_corpus_predictor(
 ) -> CorpusPredictor:
     """Rank corpus vocabulary by line-final frequency.
 
-    ``lex`` is accepted for interface parity with other predictor
-    factories; the counting model does not consult it.
+    The counting model does not consult ``lex``. It stays accepted because
+    callers pass one: the benchmark's stub server and its tests build the
+    predictor through ``scripts/predictor_server.py`` with a ``Lexicon()``.
     """
     if not verses:
         raise ValueError("cannot build predictor from an empty corpus")
@@ -343,6 +345,7 @@ def remote_predict(
     attempts: int = 3,
     backoff: float = 0.2,
     timeout: float = 10.0,
+    proxies: dict[str, str] | None = None,
 ) -> CandidateList:
     """POST the query to a masked-prediction service and validate the reply.
 
@@ -354,6 +357,9 @@ def remote_predict(
     ``requests`` is imported on the first call, not with the package: no
     other path needs the HTTP stack. ``requests.post`` is looked up on the
     module at each attempt, so a patched ``post`` sees every one.
+    ``proxies`` is forwarded to every ``requests.post`` as is; with the
+    default ``None``, ``requests`` reads the proxy environment on each
+    attempt.
     """
     import requests
 
@@ -368,7 +374,7 @@ def remote_predict(
         if attempt:
             time.sleep(backoff * 2 ** (attempt - 1))
         try:
-            resp = requests.post(url, json=payload, timeout=timeout)
+            resp = requests.post(url, json=payload, timeout=timeout, proxies=proxies)
         except requests.RequestException as exc:
             last_failure = f"request failed: {exc}"
             continue
@@ -440,20 +446,61 @@ def _candidate_pairs(items: list, resp: requests.Response) -> tuple[tuple[str, f
     raise PredictorProtocolError(f"malformed candidate entry: {_excerpt(resp)}")
 
 
+def _direct_host(url: str) -> str:
+    """``url``'s host if ``requests`` would connect to it directly, else ``""``.
+
+    This is the proxy lookup ``requests`` makes on every call, made once,
+    on ``url`` as ``requests`` prepares it. A URL that ``requests``
+    rejects, or one with no host, gives ``""``: its request then fails as
+    it would without the lookup.
+    """
+    import requests
+    from requests.utils import get_environ_proxies, select_proxy
+
+    prepared = requests.PreparedRequest()
+    try:
+        prepared.prepare_url(url, None)
+    except requests.RequestException:
+        return ""
+    url = prepared.url
+    host = urlparse(url).hostname
+    if not host or select_proxy(url, get_environ_proxies(url)) is not None:
+        return ""
+    return host
+
+
 @dataclass
 class RemotePredictor:
-    """MaskedPredictor adapter over :func:`remote_predict`."""
+    """MaskedPredictor adapter over :func:`remote_predict`.
+
+    The proxy environment is read once, on the first request. If no proxy
+    applies to the endpoint, every request passes
+    ``proxies={"no_proxy": <endpoint host>}``, which lets ``requests``
+    skip its two environment scans per call and connect directly, as it
+    would after them. If a proxy applies, requests pass no ``proxies`` and
+    ``requests`` resolves it on each call. Proxy variables changed after
+    the first request are not seen by this predictor; a copy made with
+    :func:`dataclasses.replace` reads them again. The kept host takes no
+    part in the constructor, equality or ``repr``; threads that race on
+    the first request only repeat the lookup.
+    """
 
     endpoint: str
     attempts: int = 3
     backoff: float = 0.2
     timeout: float = 10.0
+    # None until the first request, then _direct_host's answer.
+    _no_proxy: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def predict(self, query: PredictorQuery) -> CandidateList:
+        if self._no_proxy is None:
+            self._no_proxy = _direct_host(_predict_url(self.endpoint))
+        host = self._no_proxy
         return remote_predict(
             self.endpoint,
             query,
             attempts=self.attempts,
             backoff=self.backoff,
             timeout=self.timeout,
+            proxies={"no_proxy": host} if host else None,
         )

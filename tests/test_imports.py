@@ -81,6 +81,22 @@ def test_remote_enhance_loads_http_stack():
     assert stub.requests
 
 
+def test_remote_predictor_loads_http_stack_on_first_predict():
+    script = f"""
+import json, sys
+from verseforge.enhance import PredictorQuery, RemotePredictor
+predictor = RemotePredictor(sys.argv[1])
+before = [m for m in {HTTP_MODULES!r} if m in sys.modules]
+predictor.predict(PredictorQuery(("go", "<mask>"), 1, k=5))
+print(json.dumps([before, [m for m in {HTTP_MODULES!r} if m in sys.modules]]))
+"""
+    with StubServer([(200, None)]) as stub:
+        proc = run_python(script, stub.endpoint)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], list(HTTP_MODULES)]
+    assert len(stub.requests) == 1
+
+
 def test_patched_post_sees_every_attempt():
     # requests.post is looked up at call time, so a patch made after the
     # package is imported still counts the retries.

@@ -1,6 +1,7 @@
 """Remote masked-predictor client against a scripted loopback HTTP stub."""
 
 import contextlib
+import dataclasses
 import http.client
 import importlib.util
 import json
@@ -292,6 +293,86 @@ def test_remote_predictor_drives_enhancement(sample_lex):
         predictor = RemotePredictor(stub.endpoint, backoff=0.01)
         out = enhance_verse(verse, predictor, EnhanceConfig(k=5), sample_lex)
     assert out.lines[1][-1] == "food"
+
+
+# A loopback port with nothing listening: a proxy there refuses every request.
+CLOSED_PROXY = "http://127.0.0.1:9"
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """``monkeypatch`` with every proxy variable cleared, either case."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+@pytest.fixture
+def posted_proxies(monkeypatch):
+    """The ``proxies`` argument of every ``requests.post`` call, in order."""
+    seen = []
+    post = requests.post
+
+    def recording_post(*args, **kwargs):
+        seen.append(kwargs.get("proxies"))
+        return post(*args, **kwargs)
+
+    monkeypatch.setattr(requests, "post", recording_post)
+    return seen
+
+
+def test_predictor_without_proxy_names_its_host_as_no_proxy(proxy_env, posted_proxies):
+    with StubServer([(500, {}), (200, None)]) as stub:
+        predictor = RemotePredictor(stub.endpoint, backoff=0)
+        for _ in range(3):
+            assert predictor.predict(QUERY).tokens()[0] == "food"
+    assert len(stub.requests) == 4
+    assert posted_proxies == [{"no_proxy": "127.0.0.1"}] * 4
+
+
+def test_predictor_honours_a_proxy_for_its_endpoint(proxy_env, posted_proxies):
+    proxy_env.setenv("HTTP_PROXY", CLOSED_PROXY)
+    with StubServer([(200, None)]) as stub:
+        with pytest.raises(PredictorRetryableError):
+            RemotePredictor(stub.endpoint, backoff=0).predict(QUERY)
+    assert stub.requests == []
+    assert posted_proxies == [None] * 3
+
+
+def test_predictor_goes_direct_to_a_no_proxy_host(proxy_env):
+    proxy_env.setenv("HTTP_PROXY", CLOSED_PROXY)
+    proxy_env.setenv("NO_PROXY", "127.0.0.1")
+    with StubServer([(200, None)]) as stub:
+        assert RemotePredictor(stub.endpoint, backoff=0).predict(QUERY).tokens()[0] == "food"
+    assert len(stub.requests) == 1
+
+
+def test_resolved_proxies_stay_out_of_equality_repr_and_replace(proxy_env):
+    with StubServer([(200, None)]) as stub:
+        resolved = RemotePredictor(stub.endpoint, backoff=0)
+        resolved.predict(QUERY)
+        fresh = RemotePredictor(stub.endpoint, backoff=0)
+        assert resolved == fresh
+        assert repr(resolved) == repr(fresh)
+        # The environment is read once per predictor: a proxy set after the
+        # first request is seen by a copy, not by the resolved predictor.
+        proxy_env.setenv("HTTP_PROXY", CLOSED_PROXY)
+        copy = dataclasses.replace(resolved)
+        resolved.predict(QUERY)
+        with pytest.raises(PredictorRetryableError):
+            copy.predict(QUERY)
+    assert len(stub.requests) == 2
+
+
+@pytest.mark.parametrize("endpoint", ["http:///x", "127.0.0.1:9"])
+def test_endpoint_without_host_fails_as_remote_predict_does(endpoint, posted_proxies):
+    with pytest.raises(PredictorRetryableError) as direct:
+        remote_predict(endpoint, QUERY, backoff=0)
+    with pytest.raises(PredictorRetryableError) as via_predictor:
+        RemotePredictor(endpoint, backoff=0).predict(QUERY)
+    assert str(via_predictor.value) == str(direct.value)
+    assert posted_proxies == [None] * 6
 
 
 def test_cli_enhance_remote_path(capsys, tmp_path):
