@@ -9,11 +9,13 @@ lowercase whitespace-free tokens produced by :func:`tokenize`.
 from __future__ import annotations
 
 import codecs
+import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import filterfalse, groupby
 from pathlib import Path
-from statistics import mean, pstdev
+from statistics import mean
 from typing import Iterable, Iterator
 
 # Characters split off token edges as standalone tokens. Apostrophes and
@@ -183,10 +185,36 @@ def filter_by_length(docs: list[Document], min_tok: int, max_tok: int) -> list[D
     return [d for d in docs if min_tok <= d.token_count() <= max_tok]
 
 
+def _pstdev(data: list[int]) -> float:
+    """The population standard deviation of ``data``, correctly rounded.
+
+    It takes the exact variance and a round-to-odd integer square root, as
+    ``statistics.pstdev`` does from Python 3.11; Python 3.10's can be one
+    unit in the last place off.
+    """
+    n = len(data)
+    var = Fraction(n * sum(x * x for x in data) - sum(data) ** 2, n * n)
+    num, den = var.numerator, var.denominator
+    # Scale the variance to about 2 * 53 + 3 bits, so that its root keeps
+    # two bits beyond a float's 53: rounded to odd and then to a float, it
+    # rounds as the exact root does.
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        return float(_isqrt_rto(num, den << 2 * q) << q)
+    return _isqrt_rto(num << -2 * q, den) / (1 << -q)
+
+
+def _isqrt_rto(num: int, den: int) -> int:
+    """The square root of ``num / den`` as an integer, rounded to odd."""
+    root = math.isqrt(num // den)
+    return root | (root * root * den != num)
+
+
 def corpus_stats(docs: list[Document]) -> CorpusStats:
     """Population mean and standard deviation of corpus size quantities.
 
-    ``tokens_per_sentence`` pools every sentence of every document.
+    ``tokens_per_sentence`` pools every sentence of every document. The
+    deviations are correctly rounded on every Python version.
     """
     if not docs:
         raise EmptyCorpusError("empty corpus")
@@ -197,9 +225,9 @@ def corpus_stats(docs: list[Document]) -> CorpusStats:
         raise EmptyCorpusError("empty corpus: no sentences")
     return CorpusStats(
         n_docs=len(docs),
-        sentences_per_doc=(mean(sents), pstdev(sents)),
-        tokens_per_doc=(mean(toks), pstdev(toks)),
-        tokens_per_sentence=(mean(per_sent), pstdev(per_sent)),
+        sentences_per_doc=(mean(sents), _pstdev(sents)),
+        tokens_per_doc=(mean(toks), _pstdev(toks)),
+        tokens_per_sentence=(mean(per_sent), _pstdev(per_sent)),
     )
 
 

@@ -12,9 +12,20 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .corpus import Verse, find_alnum, punctuation_in
 from .phonetics import Lexicon, vowel_sequence
+
+
+def ordered_sum(values) -> float:
+    """The sum of ``values`` added one at a time, left to right; int 0 if empty.
+
+    From Python 3.12 the built-in ``sum`` compensates float rounding, which
+    changes the last bits; this sum has the same bits on every version.
+    """
+    return reduce(add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -231,5 +242,5 @@ def corpus_bleu(candidates: list[list[str]], references: list[list[str]]) -> flo
     c = sum(len(t) for t in candidates)
     r = sum(len(t) for t in references)
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
-    log_avg = sum(math.log(p) for p in precisions) / len(precisions)
+    log_avg = ordered_sum(map(math.log, precisions)) / len(precisions)
     return 100.0 * bp * math.exp(log_avg)

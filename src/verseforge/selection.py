@@ -25,7 +25,7 @@ from pathlib import Path
 from urllib.parse import quote, unquote
 
 from .corpus import Document, Verse, read_lines, read_text, split_flat
-from .metrics import RhymeConfig, ScoredVerse, score_verse
+from .metrics import RhymeConfig, ScoredVerse, ordered_sum, score_verse
 from .phonetics import Lexicon
 from .stripping import default_stopwords
 
@@ -202,7 +202,7 @@ def _norm(entries: list[tuple[int, float]]) -> float:
     It sums in the order of ``entries``, which fixes the bits of every
     normalized weight.
     """
-    return math.sqrt(sum(w * w for _, w in entries))
+    return math.sqrt(ordered_sum(w * w for _, w in entries))
 
 
 def _normalize(entries: list[tuple[int, float]]) -> dict[int, float]:
@@ -310,7 +310,7 @@ def _embed(
     _, exp = math.frexp(max(abs(v) for r in rows for v in r))
     rows = [[math.ldexp(v, -exp) for v in r] for r in rows]
     dim = len(rows[0])
-    mean = [sum(r[d] for r in rows) / len(rows) for d in range(dim)]
+    mean = [ordered_sum(r[d] for r in rows) / len(rows) for d in range(dim)]
     return [(d, v) for d, v in enumerate(mean) if v != 0.0]
 
 
@@ -369,8 +369,8 @@ def _cosine(qvec: dict[int, float], index: RetrievalIndex, doc: int):
     dims, weights = index.vectors.row(doc)
     if len(qvec) <= len(dims):
         dvec = dict(zip(dims, weights))
-        return sum(w * dvec.get(d, 0.0) for d, w in qvec.items())
-    return sum(w * qvec.get(d, 0.0) for d, w in zip(dims, weights))
+        return ordered_sum(w * dvec.get(d, 0.0) for d, w in qvec.items())
+    return ordered_sum(w * qvec.get(d, 0.0) for d, w in zip(dims, weights))
 
 
 def _postings_candidates(index: RetrievalIndex, qvec: dict[int, float], k: int) -> list[int]:
@@ -549,7 +549,7 @@ def _checked_vector(entries: list[tuple[int, float]], n_dims: int) -> tuple[tupl
         raise ValueError(f"dimension outside 0..{n_dims - 1}")
     if not all(map(math.isfinite, weights)) or min(weights) < 0.0 or max(weights) > 1.0:
         raise ValueError("weights must be finite, non-negative and at most 1")
-    if sum(map(operator.mul, weights, weights)) > 1.0 + 1e-9:
+    if ordered_sum(map(operator.mul, weights, weights)) > 1.0 + 1e-9:
         raise ValueError("vector norm above 1")
     return dims, weights
 

@@ -1,5 +1,4 @@
 import math
-import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,8 +150,14 @@ def reference_parse_response(resp, k: int) -> CandidateList:
 
 
 def reference_normalize(vec: dict[int, float]) -> dict[int, float]:
-    """Reference: ``vec`` scaled to unit length; empty if every weight is 0."""
-    norm = math.sqrt(sum(w * w for w in vec.values()))
+    """Reference: ``vec`` scaled to unit length; empty if every weight is 0.
+
+    The squares are added one by one in ``vec``'s order.
+    """
+    squares = 0
+    for w in vec.values():
+        squares += w * w
+    norm = math.sqrt(squares)
     return {d: w / norm for d, w in vec.items()} if norm else {}
 
 
@@ -287,7 +292,10 @@ def reference_load_index(dir_path: str | Path) -> ReferenceIndex:
                 vec and (min(weights) < 0.0 or max(weights) > 1.0)
             ):
                 raise ValueError("weights must be finite, non-negative and at most 1")
-            if sum(map(operator.mul, weights, weights)) > 1.0 + 1e-9:
+            squares = 0
+            for w in weights:
+                squares += w * w
+            if squares > 1.0 + 1e-9:
                 raise ValueError("vector norm above 1")
         except ValueError as exc:
             raise ValueError(f"{vectors_path}:{lineno}: {exc}") from None

@@ -710,15 +710,6 @@ class TestPipeline:
         assert 0.0 <= report["overlap_vs_input"] <= 1.0
         assert report["rd_after"] >= 0.0
 
-    def test_demo_script_reports_the_pipeline_keys(self):
-        script = Path(__file__).parent.parent / "scripts" / "pipeline_demo.py"
-        run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
-        assert run.returncode == 0, run.stderr
-        [line] = [line for line in run.stdout.splitlines() if line.startswith("{")]
-        assert set(json.loads(line)) == {
-            "rd_before", "rd_after", "rep", "overlap_vs_input", "replaced_positions"
-        }
-
     def test_empty_document_fails_at_strip(self):
         cfg = load_config(None, {"corpus_path": str(MINI)})
         doc = Document(id="empty", kind="news", lines=[], raw="")

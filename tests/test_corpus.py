@@ -1,7 +1,9 @@
 import codecs
 import json
+import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -300,6 +302,28 @@ class TestCorpusStats:
         a = corpus_stats(docs)
         b = corpus_stats(list(reversed(docs)))
         assert a == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 60), min_size=1, max_size=6), min_size=1, max_size=8))
+    def test_deviations_are_correctly_rounded(self, shape):
+        # shape[i][j] is the token count of sentence j of document i.
+        docs = [
+            Document(id=str(i), kind="lyrics", lines=[["w"] * n for n in sents], raw="")
+            for i, sents in enumerate(shape)
+        ]
+        stats = corpus_stats(docs)
+        for (_, got), data in (
+            (stats.sentences_per_doc, [len(sents) for sents in shape]),
+            (stats.tokens_per_doc, [sum(sents) for sents in shape]),
+            (stats.tokens_per_sentence, [n for sents in shape for n in sents]),
+        ):
+            mu = Fraction(sum(data), len(data))
+            var = sum((x - mu) ** 2 for x in data) / len(data)
+            # The float nearest sqrt(var): var lies between the squares of
+            # the midpoints to its neighbours.
+            below = (Fraction(math.nextafter(got, 0.0)) + Fraction(got)) / 2
+            above = (Fraction(got) + Fraction(math.nextafter(got, math.inf))) / 2
+            assert below**2 <= var <= above**2
 
     def test_golden_mini_corpus(self, mini_corpus_dir):
         docs = load_corpus(mini_corpus_dir, "lyrics")

@@ -3,6 +3,7 @@ import math
 import random
 import tempfile
 import tracemalloc
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,11 @@ from verseforge.corpus import Document, Verse, tokenize
 from verseforge.metrics import RhymeConfig, repetition_score, rhyme_density
 from verseforge.selection import (
     Hypothesis,
+    RetrievalIndex,
+    SparseRows,
+    _cosine,
     _embed,
+    _norm,
     _normalize,
     _query_vector,
     build_index,
@@ -48,7 +53,10 @@ def scan_retrieve_indices(index, query, k: int = 1) -> list[tuple[int, float]]:
     sims = []
     for dvec in index.vectors:
         small, large = (qvec, dvec) if len(qvec) <= len(dvec) else (dvec, qvec)
-        sims.append(sum(w * large.get(d, 0.0) for d, w in small.items()))
+        sim = 0
+        for d, w in small.items():
+            sim += w * large.get(d, 0.0)
+        sims.append(sim)
     order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))[:k]
     return [(i, sims[i]) for i in order]
 
@@ -370,6 +378,52 @@ class TestSparseRows:
         index = build_index(docs, min_df=min_df, stopwords=STOP)
         assert index.postings.transposed(index.n_docs) == index.vectors
         assert all(list(row) == sorted(row) for row in index.postings)
+
+
+def loop_sum(terms):
+    """Reference: ``terms`` added one at a time, left to right."""
+    total = 0
+    for t in terms:
+        total += t
+    return total
+
+
+def one_row_index(weights: list[float]) -> RetrievalIndex:
+    """An index of one document whose dimensions are 0..len(weights) - 1."""
+    rows = SparseRows(array("q", [0, len(weights)]), array("i", range(len(weights))), array("d", weights))
+    return RetrievalIndex(doc_ids=["d"], documents=["d"], vectors=rows, vocabulary={}, df={})
+
+
+class TestLeftToRightSums:
+    """Norms and similarities add their terms left to right, so their bits
+    are the same on every Python version; from 3.12 the built-in ``sum``
+    compensates rounding. Each case's left-to-right sum differs from the
+    correctly rounded one.
+    """
+
+    CASES = [[0.1] * 10 + [1e-17] * 3, [1.0] + [2.0**-54] * 7]
+
+    @pytest.mark.parametrize("terms", CASES)
+    def test_norm(self, terms):
+        weights = [math.sqrt(t) for t in terms]
+        squares = [w * w for w in weights]
+        want = math.sqrt(loop_sum(squares))
+        assert want != math.sqrt(math.fsum(squares))
+        assert _norm(list(enumerate(weights))) == want
+
+    @pytest.mark.parametrize("terms", CASES)
+    def test_cosine_in_either_vectors_order(self, terms):
+        want = loop_sum(terms)
+        assert want != math.fsum(terms)
+        n = len(terms)
+        # The query is no longer than the document, so it sets the order.
+        assert _cosine(dict(enumerate(terms)), one_row_index([1.0] * n), 0) == want
+        # The document is shorter, so it sets the order.
+        assert _cosine(dict.fromkeys(range(n + 1), 1.0), one_row_index(terms), 0) == want
+
+    def test_empty_cosine_is_int_zero(self):
+        sim = _cosine({}, one_row_index([1.0]), 0)
+        assert sim == 0 and type(sim) is int
 
 
 class TestPostingsRetrieval:
@@ -760,6 +814,9 @@ class TestVectorIndex:
         known = [vectors[t] for t in tokens if t in vectors]
         expected = {}
         if known:
-            mean = [sum(r[d] for r in known) / len(known) for d in range(3)]
+            mean = [0, 0, 0]
+            for r in known:
+                mean = [m + v for m, v in zip(mean, r)]
+            mean = [m / len(known) for m in mean]
             expected = _normalize([(d, v) for d, v in enumerate(mean) if v != 0.0])
         assert _normalize(_embed(tokens, vectors, NO_STOP)) == expected
