@@ -289,15 +289,17 @@ def run_pipeline(
 
     if hypotheses is not None:
         try:
-            selected = rerank(hypotheses, runtime.lexicon, cfg.rhyme).verse
+            best = rerank(hypotheses, runtime.lexicon, cfg.rhyme)
         except ValueError as exc:
             raise PipelineError("rerank", str(exc)) from exc
+        # Reranking scored the pick with the same lexicon and config.
+        selected, rd_before = best.verse, best.scored.rd
     else:
         selected = Verse([list(line) for line in cw.lines if line], doc.id)
         if not selected.lines:
             raise PipelineError("rerank", "no content words to form a hypothesis")
+        rd_before = rhyme_density(selected, runtime.lexicon, cfg.rhyme)
 
-    rd_before = rhyme_density(selected, runtime.lexicon, cfg.rhyme)
     try:
         enhanced = enhance_verse(selected, runtime.predictor, runtime.enhance_cfg, runtime.lexicon)
     except (ValueError, RuntimeError) as exc:
@@ -607,6 +609,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+        # Written inside the try, so a reader that closed early is seen here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: not an error to report. Output still
+        # buffered goes to the null device, so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         payload: dict = {"error": str(exc)}
         stage = getattr(exc, "stage", None)

@@ -13,10 +13,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from operator import add
 
-from .corpus import Verse, find_alnum, punctuation_in
-from .phonetics import Lexicon, vowel_sequence
+from .corpus import Verse, punctuation_in
+from .phonetics import Lexicon
 
 
 def ordered_sum(values) -> float:
@@ -90,49 +91,54 @@ def per_word_rhyme_lengths(verse: Verse, lex: Lexicon, cfg: RhymeConfig) -> list
     run through the concatenated vowel stream, so they may cross word
     boundaries. Words without vowels score 0.
 
-    A word with vowels ends strictly after every earlier word (``p_j <
-    p_i``), so a match is bounded by ``p_j`` alone, and only an earlier
-    word whose stream position ends on the same vowel can match at all;
-    earlier words are therefore looked up by that last vowel, not scanned.
+    The stream is one string of the lexicon's vowel codes, one character
+    per vowel symbol. A word with vowels ends strictly after every earlier
+    word (``p_j < p_i``), so a match is bounded by ``p_j`` alone, and only
+    an earlier word whose stream position ends on the same vowel can match
+    at all: each word links to the previous word ending on its last vowel,
+    and only that chain is followed.
     """
     tokens = verse.all_tokens()
-    seq = vowel_sequence(tokens, lex)
-    vowels = seq.vowels
-    marks = seq.word_end_marks
+    codes = list(map(lex._code_memo.__getitem__, tokens))
+    stream = "".join(codes)
     window = cfg.lookback_window
     exclude_identical = cfg.exclude_identical
-    # Last vowel at a word's end mark -> indices of the words ending there.
-    ending_on: dict[str, list[int]] = {}
-    lengths = [0] * len(marks)
+    # Last vowel -> the latest word ending on it; word -> the word before
+    # it that ends on the same vowel (-1 for none).
+    latest: dict[str, int] = {}
+    previous = [-1] * len(codes)
+    lengths = [0] * len(codes)
+    marks = list(accumulate(map(len, codes)))
     p_prev = 0
     for i, p_i in enumerate(marks):
         if p_i == p_prev:
             # A word without vowels scores 0, but it ends where the word
             # before it ended, so later words can still match at its end.
             if p_i:
-                ending_on[vowels[p_i - 1]].append(i)
+                last = stream[p_i - 1]
+                previous[i] = latest[last]
+                latest[last] = i
             continue
         p_prev = p_i
-        last = vowels[p_i - 1]
-        same_end = ending_on.get(last)
-        if same_end is None:
-            ending_on[last] = [i]
+        last = stream[p_i - 1]
+        j = previous[i] = latest.get(last, -1)
+        latest[last] = i
+        lo = i - window
+        if lo < 0:
+            lo = 0
+        if j < lo:
             continue
         tok = tokens[i]
-        lo = i - window
         best = 0
-        for j in reversed(same_end):
-            if j < lo:
-                break
-            if exclude_identical and tokens[j] == tok:
-                continue
-            p_j = marks[j]
-            k = 1
-            while k < p_j and vowels[p_i - 1 - k] == vowels[p_j - 1 - k]:
-                k += 1
-            if k > best:
-                best = k
-        same_end.append(i)
+        while j >= lo:
+            if not (exclude_identical and tokens[j] == tok):
+                p_j = marks[j]
+                k = 1
+                while k < p_j and stream[p_i - 1 - k] == stream[p_j - 1 - k]:
+                    k += 1
+                if k > best:
+                    best = k
+            j = previous[j]
         lengths[i] = best
     return lengths
 
@@ -149,10 +155,11 @@ def unigram_overlap(x: list[str], y: list[str]) -> float:
     """Fraction of y's unique unigrams that appear in x.
 
     Punctuation tokens are ignored on both sides; an empty y yields 0.
-    Only y's side is filtered: the intersection with a punctuation-free
-    set can hold no punctuation token of x.
+    Only y's side is filtered, once per distinct token: the intersection
+    with a punctuation-free set can hold no punctuation token of x.
     """
-    uy = set(filter(find_alnum, y))
+    uy = set(y)
+    uy -= punctuation_in(uy)
     if not uy:
         return 0.0
     return len(uy.intersection(x)) / len(uy)

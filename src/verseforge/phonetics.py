@@ -12,7 +12,7 @@ import re
 import weakref
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from pathlib import Path
 
 # ARPABET vowel inventory (stress digits already stripped at load time).
@@ -48,16 +48,20 @@ class Lexicon:
     would not reach words already looked up. A lexicon from
     :func:`load_lexicon` enforces this: its ``entries`` is a read-only
     mapping that parses each word's phonemes on the word's first lookup.
-    The memo takes no part in equality or ``repr``, and every new
-    ``Lexicon`` (``dataclasses.replace`` included) starts with an empty one.
+    Beside it, ``_code_memo`` holds each word's vowels coded as a string,
+    one character per vowel symbol (see :class:`_CodeMemo`). The memos
+    take no part in equality or ``repr``, and every new ``Lexicon``
+    (``dataclasses.replace`` included) starts with empty ones.
     """
 
     entries: Mapping[str, Pronunciation] = field(default_factory=dict)
     source: str | None = None
     _vowel_memo: _VowelMemo = field(init=False, repr=False, compare=False)
+    _code_memo: _CodeMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._vowel_memo = _VowelMemo(self)
+        self._code_memo = _CodeMemo(self._vowel_memo)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -84,6 +88,36 @@ class _VowelMemo(dict):
 
     def __missing__(self, word: str) -> tuple[str, ...]:
         found = self[word] = tuple(filter(is_vowel, transcribe(word, self._lex())))
+        return found
+
+
+class _CodeMemo(dict):
+    """Memo of each word's vowel symbols as a string, one character per symbol.
+
+    Each distinct symbol gets its own character the first time the lexicon
+    sees it, so two words share a vowel suffix exactly when their code
+    strings share a suffix of the same length. Characters are drawn from one
+    counter: threads that race on a new symbol keep the first stored
+    character (``setdefault``), and the other one drawn is never used, so
+    no two symbols share a character; ``chr`` bounds a lexicon to 1,114,112
+    symbols. The memo reads vowels through the lexicon's vowel memo and
+    holds no reference to the lexicon itself.
+    """
+
+    def __init__(self, vowels: _VowelMemo) -> None:
+        super().__init__()
+        self._vowels = vowels
+        self._codes: dict[str, str] = {}
+        self._next = count()
+
+    def _code(self, symbol: str) -> str:
+        try:
+            return self._codes[symbol]
+        except KeyError:
+            return self._codes.setdefault(symbol, chr(next(self._next)))
+
+    def __missing__(self, word: str) -> str:
+        found = self[word] = "".join(map(self._code, self._vowels[word]))
         return found
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from itertools import count, filterfalse
+from itertools import chain, count, filterfalse
 from pathlib import Path
 from typing import IO, Iterable
 
 from .corpus import RESERVED_TOKENS, Document, Verse, is_number, is_punctuation, join_lines
-from .corpus import find_alnum, load_word_list as load_stopwords, match_number, read_lines
+from .corpus import load_word_list as load_stopwords, match_number, punctuation_in, read_lines
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -118,16 +118,17 @@ def extract_content_words(doc: Document, stopwords: frozenset[str]) -> ContentWo
     """Filter each line down to its content words.
 
     Lines that lose every token stay as empty lines so line-level noise
-    and serialization keep the original line structure. Each line is
-    filtered by :func:`is_content_word`'s rule in one C-level pass: a token
-    that ``find_alnum`` finds something in is exactly one that is not
-    punctuation.
+    and serialization keep the original line structure. The rule is
+    :func:`is_content_word`'s, decided once per distinct token of the
+    document in C-level passes: an all-alphabetic token is never a number
+    or punctuation, so only the other tokens that are not stopwords are
+    tested for those. Each line is then filtered by set membership.
     """
-    is_stopword = stopwords.__contains__
-    lines = tuple(
-        tuple(filter(find_alnum, filterfalse(match_number, filterfalse(is_stopword, line))))
-        for line in doc.lines
-    )
+    kept = set(chain.from_iterable(doc.lines)).difference(stopwords)
+    other = list(filterfalse(str.isalpha, kept))
+    kept.difference_update(filter(match_number, other), punctuation_in(other))
+    is_kept = kept.__contains__
+    lines = tuple(tuple(filter(is_kept, line)) for line in doc.lines)
     return ContentWords(lines=lines, provenance=doc.id)
 
 

@@ -112,11 +112,18 @@ CHECKS = [
         files={"wv.txt": b"money 1 0\nnight 0.5 1\n"},
         ok=line_count(3),
     ),
-    Check("retrieve_k_0", ("retrieve", "--corpus", MINI, "--query", DOC_A, "--k", "0"), code=1),
+    Check(
+        "retrieve_k_0",
+        ("retrieve", "--corpus", MINI, "--query", DOC_A, "--k", "0"),
+        code=1,
+        ok=lambda out, err, tmp: json.loads(err) == {"error": "--k must be at least 1, got 0"},
+    ),
     Check(
         "retrieve_index_dir_with_corpus",
         ("retrieve", "--index-dir", "{tmp}/idx", "--corpus", MINI, "--query", DOC_A),
         code=1,
+        ok=lambda out, err, tmp: json.loads(err)
+        == {"error": "--index-dir cannot be combined with --corpus"},
     ),
     Check(
         "retrieve_same_bits",
@@ -136,6 +143,8 @@ CHECKS = [
         ("pair", "{tmp}/reserved.txt", "--noise", "none"),
         code=1,
         files={"reserved.txt": b"we ride <nl> at night\nthe day is bright\nwe go slow\nwe hold the flow\n"},
+        ok=lambda out, err, tmp: json.loads(err)
+        == {"error": f"{tmp}/reserved.txt:1: reserved token '<nl>' in corpus input"},
     ),
     Check(
         "strip_bom_stopwords",

@@ -19,6 +19,7 @@ from verseforge.cli import (
     serve_report,
 )
 from verseforge.corpus import Document, load_corpus, load_document, load_word_list, tokenize
+from verseforge.metrics import RhymeConfig, rhyme_density
 from verseforge.phonetics import load_lexicon
 from verseforge.selection import (
     VECTORS_FILE,
@@ -26,6 +27,7 @@ from verseforge.selection import (
     load_hypotheses,
     load_index,
     load_word_vectors,
+    rerank,
 )
 from verseforge.stripping import SynonymLexicon
 
@@ -744,7 +746,13 @@ class TestPipeline:
             "--lexicon", LEXICON, "--hypotheses", hyps,
         )
         assert code == 0
-        assert json.loads(out)["overlap_vs_input"] >= 0.0
+        report = json.loads(out)
+        assert report["overlap_vs_input"] >= 0.0
+        # rd_before is the score reranking gave its pick, the same float a
+        # second rhyme_density of that verse computes.
+        lex = load_lexicon(LEXICON)
+        picked = rerank(load_hypotheses(hyps), lex, RhymeConfig())
+        assert report["rd_before"] == picked.scored.rd == rhyme_density(picked.verse, lex)
 
     def test_reconstruction_mode_overlap_vs_original(self, capsys, tmp_path):
         # rap verse in, generator hypotheses reranked, overlap measured
@@ -888,6 +896,31 @@ class TestErrorReporting:
         )
         assert code == 1
         assert "endpoint" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("lines_read", [1, 0])
+    def test_reader_closing_stdout_early_is_not_an_error(self, tmp_path, lines_read):
+        # strip writes one line per document, far more than a pipe buffer
+        # holds; the reader takes lines_read of them and closes its end.
+        src = tmp_path / "news.txt"
+        src.write_text("".join(f"the river bridge opened on day {i}\n" for i in range(10_000)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "verseforge.cli", "strip", str(src), "--kind", "news"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            for _ in range(lines_read):
+                assert proc.stdout.readline().startswith(b'{"doc": "news:0"')
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        assert proc.returncode == 1
+        text = err.decode()
+        assert '"error"' not in text and "Traceback" not in text
+        assert "Exception ignored" not in text
 
 
 class TestSharedConfigFlags:

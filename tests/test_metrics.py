@@ -1,6 +1,9 @@
 import math
 import random
+import sys
+import threading
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +152,82 @@ class TestRhymeDensity:
         cfg = RhymeConfig(lookback_window=window, exclude_identical=exclude)
         fast = per_word_rhyme_lengths(verse, toy_lex, cfg)
         assert fast == brute_force_lengths(verse.all_tokens(), toy_reference_lex, window, exclude)
+
+    def test_codes_beyond_latin_1_match_brute_force(self):
+        # 300 distinct vowel symbols, each first seen in that order, so the
+        # later ones are coded above U+00FF; the verses rhyme among those.
+        rng = random.Random(256)
+        symbols = [f"V:s{n}" for n in range(300)]
+        entries = {f"w{n}": (symbol,) for n, symbol in enumerate(symbols)}
+        entries.update(
+            (f"x{n}", tuple(rng.choice(symbols[250:]) for _ in range(rng.randint(1, 3))))
+            for n in range(40)
+        )
+        lex = Lexicon(entries)
+        cfg = RhymeConfig()
+        per_word_rhyme_lengths(Verse([list(entries)[:300]]), lex, cfg)
+        assert max(map(ord, "".join(lex._code_memo.values()))) > 0xFF
+        words = list(entries)[250:]
+        for _ in range(100):
+            verse = random_verse(rng, words)
+            fast = per_word_rhyme_lengths(verse, lex, cfg)
+            assert fast == brute_force_lengths(verse.all_tokens(), lex)
+
+    def test_lexicons_with_different_codes_score_alike(self, toy_lex, toy_reference_lex):
+        # Each lexicon codes the symbols in the order it first sees them,
+        # so these two code every toy vowel differently.
+        first, second = Lexicon(dict(toy_lex.entries)), Lexicon(dict(toy_lex.entries))
+        per_word_rhyme_lengths(Verse([TOY_WORDS]), first, RhymeConfig())
+        per_word_rhyme_lengths(Verse([TOY_WORDS[::-1]]), second, RhymeConfig())
+        assert first._code_memo["hurricane"] != second._code_memo["hurricane"]
+        rng = random.Random(2)
+        for n in range(200):
+            verse = random_verse(rng, MIXED_TOKENS)
+            cfg = RhymeConfig(lookback_window=rng.randint(1, 20), exclude_identical=n % 2 == 0)
+            slow = brute_force_lengths(
+                verse.all_tokens(), toy_reference_lex, cfg.lookback_window, cfg.exclude_identical
+            )
+            for lex in (first, second) if n % 2 else (second, first):
+                assert per_word_rhyme_lengths(verse, lex, cfg) == slow
+
+    def test_threads_coding_new_symbols_agree(self, toy_lex):
+        # Out-of-lexicon words whose vowel runs are all new symbols, scored
+        # by 8 threads at once on one fresh lexicon, switching as often as
+        # the interpreter allows.
+        runs = ["".join(p) for n in (1, 2, 3) for p in product("aeiou", repeat=n)]
+        words = [f"zh{run}st" for run in runs] + TOY_WORDS
+        rng = random.Random(8)
+        verses = [random_verse(rng, rng.sample(words, 12)) for _ in range(120)]
+        cfg = RhymeConfig()
+        reference = Lexicon(dict(toy_lex.entries))
+        expected = [per_word_rhyme_lengths(verse, reference, cfg) for verse in verses]
+        lex = Lexicon(dict(toy_lex.entries))
+        start = threading.Barrier(8, timeout=30)
+        results: dict[int, list] = {}
+
+        def score(n: int) -> None:
+            # Each thread starts at a different verse, so new words meet.
+            start.wait()
+            results[n] = [per_word_rhyme_lengths(verse, lex, cfg) for verse in rotate(verses, n)]
+
+        def rotate(items: list, n: int) -> list:
+            return items[n * 15:] + items[:n * 15]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=score, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {n: rotate(expected, n) for n in range(8)}
+        codes, reference_codes = lex._code_memo._codes, reference._code_memo._codes
+        assert codes.keys() == reference_codes.keys()
+        assert len(set(codes.values())) == len(codes)
 
 
 class TestUnigramOverlap:

@@ -350,3 +350,16 @@ class TestVowelMemo:
                 assert ref() is None
             finally:
                 gc.enable()
+
+    def test_lexicon_with_coded_vowels_is_freed_without_the_cyclic_collector(self, toy_lex):
+        # The code memo reads vowels through the vowel memo, so it adds no
+        # reference back to the lexicon either.
+        lex = load_lexicon(toy_lex.source)
+        assert lex._code_memo["hurricane"] == lex._code_memo["hurricane"]
+        ref = weakref.ref(lex)
+        gc.disable()
+        try:
+            del lex
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -40,6 +40,14 @@ def cw_from(lines, provenance="d") -> ContentWords:
     return ContentWords.from_lines(lines, provenance=provenance)
 
 
+# Stopwords, numbers, digits outside ASCII, tokens that only look like
+# numbers, and runs of punctuation.
+MIXED_FILTER_TOKENS = FILTER_TOKENS + [
+    "The", "and", "\u00b2", "\u0663\u0664", "x\u00b2", "0.5", "1,000,000", "12.", ".5",
+    "?!", "...!", "--", "__", "'", "rain", "rain's",
+]
+
+
 class TestExtractContentWords:
     def test_all_stopwords_line_becomes_empty(self, stopwords):
         cw = extract_content_words(doc_from("where were you?"), stopwords)
@@ -68,6 +76,28 @@ class TestExtractContentWords:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(FILTER_TOKENS), max_size=8), max_size=5))
     def test_lines_follow_the_per_token_rule(self, stopwords, lines):
+        doc = Document(id="d", kind="news", lines=lines, raw="")
+        expected = tuple(
+            tuple(tok for tok in line if is_content_word(tok, stopwords)) for line in lines
+        )
+        assert extract_content_words(doc, stopwords).lines == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(MIXED_FILTER_TOKENS),
+                    st.text(alphabet="ab1.,?!\u0663\u00b2-_'", min_size=1, max_size=4),
+                ),
+                max_size=10,
+            ),
+            max_size=6,
+        )
+    )
+    def test_mixed_lines_follow_the_per_token_rule(self, stopwords, lines):
+        # Each distinct token is classified once per document, so tokens
+        # repeat across lines here and every kind shares a line.
         doc = Document(id="d", kind="news", lines=lines, raw="")
         expected = tuple(
             tuple(tok for tok in line if is_content_word(tok, stopwords)) for line in lines
