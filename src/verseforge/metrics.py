@@ -101,6 +101,7 @@ def per_word_rhyme_lengths(verse: Verse, lex: Lexicon, cfg: RhymeConfig) -> list
     tokens = verse.all_tokens()
     codes = list(map(lex._code_memo.__getitem__, tokens))
     stream = "".join(codes)
+    marks = list(accumulate(map(len, codes)))
     window = cfg.lookback_window
     exclude_identical = cfg.exclude_identical
     # Last vowel -> the latest word ending on it; word -> the word before
@@ -108,7 +109,6 @@ def per_word_rhyme_lengths(verse: Verse, lex: Lexicon, cfg: RhymeConfig) -> list
     latest: dict[str, int] = {}
     previous = [-1] * len(codes)
     lengths = [0] * len(codes)
-    marks = list(accumulate(map(len, codes)))
     p_prev = 0
     for i, p_i in enumerate(marks):
         if p_i == p_prev:

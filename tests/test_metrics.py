@@ -205,13 +205,13 @@ class TestRhymeDensity:
         start = threading.Barrier(8, timeout=30)
         results: dict[int, list] = {}
 
+        def rotate(items: list, n: int) -> list:
+            return items[n * 15:] + items[:n * 15]
+
         def score(n: int) -> None:
             # Each thread starts at a different verse, so new words meet.
             start.wait()
             results[n] = [per_word_rhyme_lengths(verse, lex, cfg) for verse in rotate(verses, n)]
-
-        def rotate(items: list, n: int) -> list:
-            return items[n * 15:] + items[:n * 15]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
