@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import chain
 from pathlib import Path
 from statistics import mean, pstdev
 from urllib.parse import urlsplit
@@ -309,7 +310,9 @@ def run_pipeline(
         "rd_before": rd_before,
         "rd_after": rhyme_density(enhanced, runtime.lexicon, cfg.rhyme),
         "rep": repetition_score(enhanced),
-        "overlap_vs_input": unigram_overlap(doc.all_tokens(), enhanced.all_tokens()),
+        "overlap_vs_input": unigram_overlap(
+            chain.from_iterable(doc.lines), chain.from_iterable(enhanced.lines)
+        ),
         "replaced_positions": [list(p) for p in replaced_positions(selected, enhanced)],
     }
     return enhanced, report

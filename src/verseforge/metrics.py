@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -151,7 +152,7 @@ def rhyme_density(verse: Verse, lex: Lexicon, cfg: RhymeConfig = RhymeConfig()) 
     return sum(lengths) / len(lengths)
 
 
-def unigram_overlap(x: list[str], y: list[str]) -> float:
+def unigram_overlap(x: Iterable[str], y: Iterable[str]) -> float:
     """Fraction of y's unique unigrams that appear in x.
 
     Punctuation tokens are ignored on both sides; an empty y yields 0.
