@@ -40,7 +40,7 @@ from .metrics import (
     score_verse,
     unigram_overlap,
 )
-from .phonetics import Lexicon, Pronunciation, VowelSeq, load_lexicon, transcribe, vowel_sequence
+from .phonetics import Lexicon, Pronunciation, load_lexicon, transcribe
 from .selection import Hypothesis, RetrievalIndex, build_index, rerank, retrieve
 from .stripping import (
     ContentWords,

@@ -251,15 +251,22 @@ def read_text(path: str | Path) -> str:
         raise _invalid_utf8(path, len(_NEWLINE_RE.split(head)), exc) from None
 
 
-def read_lines(path: str | Path) -> Iterator[str]:
+class UnterminatedFileError(ValueError):
+    """A file whose last line has no final newline, as when the file was cut short."""
+
+
+def read_lines(path: str | Path, *, terminated: bool = False) -> Iterator[str]:
     """The lines of a UTF-8 file as ``str.splitlines`` splits its text, streamed.
 
     A leading byte-order mark is dropped. The file is read in blocks of
     about 16 KiB that end at a newline, so no more than a block and a line
     are held at a time. Invalid UTF-8 raises ValueError naming the file
-    and the line of the first bad byte.
+    and the line of the first bad byte. With ``terminated``, a file with
+    text whose last byte is not ``\\n`` raises UnterminatedFileError naming
+    its last line, once every line has been yielded.
     """
     lineno = 0
+    end = b"\n"
     with open(path, "rb") as fh:
         # A block that ends at a newline (or the end of the file) decodes
         # and splits on its own: no UTF-8 sequence holds the byte "\n", and
@@ -273,7 +280,10 @@ def read_lines(path: str | Path) -> Iterator[str]:
                 raise _invalid_utf8(path, lineno + len(head.splitlines()), exc) from None
             lineno += len(lines)
             yield from lines
+            end = block[-1:]
             block = fh.read(_BLOCK_BYTES) + fh.readline()
+    if terminated and end != b"\n":
+        raise UnterminatedFileError(f"{path}:{lineno}: no final newline (truncated file?)")
 
 
 def _invalid_utf8(path: str | Path, lineno: int, exc: UnicodeDecodeError) -> ValueError:

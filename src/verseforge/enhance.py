@@ -66,8 +66,9 @@ class PredictorQuery:
             raise ValueError("query must contain exactly one mask at mask_index")
 
 
-# Usable candidates grouped by last vowel: vowel -> [(token, vowels), ...].
-VowelIndex = dict[str, list[tuple[str, tuple[str, ...]]]]
+# One lexicon's usable candidates by the code of their last vowel:
+# last vowel code -> [(token, vowel codes), ...].
+VowelIndex = dict[str, list[tuple[str, str]]]
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,8 @@ def mask_text(verse: Verse, i: int, k: int = 200) -> PredictorQuery:
 
 def _usable_candidates(
     raw: CandidateList, cfg: EnhanceConfig, lex: Lexicon
-) -> Iterator[tuple[str, tuple[str, ...]]]:
-    """Usable top-``cfg.k`` candidates with their vowels, in score order.
+) -> Iterator[tuple[str, str]]:
+    """Usable top-``cfg.k`` candidates with their vowel codes, in score order.
 
     Tokens are lowercased; deny-listed, non-alphabetic and vowel-less ones
     (which rhyme with nothing) are dropped. The generator filters only as
@@ -150,8 +151,8 @@ def _usable_candidates(
     """
     for tok, _ in islice(raw.candidates, cfg.k):
         tok = tok.lower()
-        if tok.isalpha() and tok not in cfg.deny_list and (vowels := lex.vowels(tok)):
-            yield tok, vowels
+        if tok.isalpha() and tok not in cfg.deny_list and (codes := lex.vowel_codes(tok)):
+            yield tok, codes
 
 
 def _vowel_index(raw: CandidateList, cfg: EnhanceConfig, lex: Lexicon) -> VowelIndex | None:
@@ -162,6 +163,9 @@ def _vowel_index(raw: CandidateList, cfg: EnhanceConfig, lex: Lexicon) -> VowelI
     ``first_improvement`` scan usually stops early. Indexing every fresh
     200-candidate list more than doubled enhance_verse's CPU per verse,
     measured in process (about 0.95 to 2.2 ms on a 2-vCPU host).
+
+    An index holds one lexicon's vowel codes, so a use with another
+    lexicon rebuilds it.
     """
     key = (cfg.k, cfg.deny_list)
     memo = raw._index_memo
@@ -171,8 +175,8 @@ def _vowel_index(raw: CandidateList, cfg: EnhanceConfig, lex: Lexicon) -> VowelI
     entry = memo[key]
     if entry is None or entry[0] is not lex:
         index: VowelIndex = {}
-        for tok, vowels in _usable_candidates(raw, cfg, lex):
-            index.setdefault(vowels[-1], []).append((tok, vowels))
+        for tok, codes in _usable_candidates(raw, cfg, lex):
+            index.setdefault(codes[-1], []).append((tok, codes))
         entry = memo[key] = (lex, index)
     return entry[1]
 
@@ -196,10 +200,10 @@ def get_rhyming_replacement(
     Only a candidate whose last vowel is the anchor's can improve the
     rhyme; any other has rhyme length 0, so only those are scored, with
     :func:`~verseforge.metrics.rhyme_length_vowels` (the rule of
-    ``rhyme_length``). The first use of a candidate list filters its
-    candidates lazily. From the second use on (a corpus predictor returns
-    one shared list per ``k``), only the anchor's last vowel's bucket of
-    the list's index is read.
+    ``rhyme_length``) on the lexicon's vowel codes. The first use of a
+    candidate list filters its candidates lazily. From the second use on
+    (a corpus predictor returns one shared list per ``k``), only the
+    anchor's last vowel's bucket of the list's index is read.
     """
     src = verse.lines[src_idx][-1]
     tgt = verse.lines[tgt_idx][-1]
@@ -213,18 +217,18 @@ def get_rhyming_replacement(
             f"predictor failed (mask_index={query.mask_index}): {exc}"
         ) from exc
     index = _vowel_index(raw, cfg, lex)
-    src_vowels = lex.vowels(src)
-    if not src_vowels:
+    src_codes = lex.vowel_codes(src)
+    if not src_codes:
         return tgt, rl_orig
-    last = src_vowels[-1]
+    last = src_codes[-1]
     candidates = _usable_candidates(raw, cfg, lex) if index is None else index.get(last, ())
 
     # Score order breaks ties in both modes.
     best_tok, best_rl = tgt, rl_orig
-    for cand, vowels in candidates:
-        if vowels[-1] != last:
+    for cand, codes in candidates:
+        if codes[-1] != last:
             continue
-        rl = rhyme_length_vowels(cand, vowels, src, src_vowels)
+        rl = rhyme_length_vowels(cand, codes, src, src_codes)
         if rl > best_rl:
             if cfg.mode == "first_improvement":
                 return cand, rl

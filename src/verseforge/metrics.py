@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -67,13 +67,14 @@ def rhyme_length(w1: str, w2: str, lex: Lexicon) -> int:
     """
     if not w1 or not w2:
         raise ValueError("rhyme_length requires non-empty tokens")
-    return rhyme_length_vowels(w1, lex.vowels(w1), w2, lex.vowels(w2))
+    return rhyme_length_vowels(w1, lex.vowel_codes(w1), w2, lex.vowel_codes(w2))
 
 
-def rhyme_length_vowels(
-    w1: str, v1: tuple[str, ...], w2: str, v2: tuple[str, ...]
-) -> int:
-    """:func:`rhyme_length` of two tokens whose vowels ``v1``, ``v2`` are known."""
+def rhyme_length_vowels(w1: str, v1: Sequence[str], w2: str, v2: Sequence[str]) -> int:
+    """:func:`rhyme_length` of two tokens whose vowels ``v1``, ``v2`` are known.
+
+    Vowels compare item by item: symbol tuples, or one lexicon's codes.
+    """
     if w1 == w2:
         return 0
     n = min(len(v1), len(v2))

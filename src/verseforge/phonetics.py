@@ -12,7 +12,7 @@ import re
 import weakref
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count
+from itertools import count
 from pathlib import Path
 
 # ARPABET vowel inventory (stress digits already stripped at load time).
@@ -43,25 +43,21 @@ Pronunciation = tuple[str, ...]
 class Lexicon:
     """Word to phoneme tuple map (first listed variant wins).
 
-    :meth:`vowels` memoises each word's vowel projection on its first
-    lookup, so ``entries`` must not be mutated after that: a later edit
-    would not reach words already looked up. A lexicon from
-    :func:`load_lexicon` enforces this: its ``entries`` is a read-only
-    mapping that parses each word's phonemes on the word's first lookup.
-    Beside it, ``_code_memo`` holds each word's vowels coded as a string,
-    one character per vowel symbol (see :class:`_CodeMemo`). The memos
-    take no part in equality or ``repr``, and every new ``Lexicon``
-    (``dataclasses.replace`` included) starts with empty ones.
+    :meth:`vowel_codes` memoises each word's vowels on its first lookup,
+    so ``entries`` must not be mutated after that: a later edit would not
+    reach words already looked up. A lexicon from :func:`load_lexicon`
+    enforces this: its ``entries`` is a read-only mapping that parses a
+    word's phonemes each time the word is looked up. The memo takes no
+    part in equality or ``repr``, and every new ``Lexicon``
+    (``dataclasses.replace`` included) starts with an empty one.
     """
 
     entries: Mapping[str, Pronunciation] = field(default_factory=dict)
     source: str | None = None
-    _vowel_memo: _VowelMemo = field(init=False, repr=False, compare=False)
     _code_memo: _CodeMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._vowel_memo = _VowelMemo(self)
-        self._code_memo = _CodeMemo(self._vowel_memo)
+        self._code_memo = _CodeMemo(self)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -70,12 +66,28 @@ class Lexicon:
         return self.entries.get(word.lower())
 
     def vowels(self, word: str) -> tuple[str, ...]:
-        """The vowel symbols of ``transcribe(word, self)``, computed once per word."""
-        return self._vowel_memo[word]
+        """The vowel symbols of ``transcribe(word, self)``, transcribed on each call."""
+        return tuple(filter(is_vowel, transcribe(word, self)))
+
+    def vowel_codes(self, word: str) -> str:
+        """The vowels of ``transcribe(word, self)`` coded as a string, computed once per word.
+
+        Each character stands for one vowel symbol. Within one lexicon,
+        two characters are equal exactly when their symbols are, so two
+        words share a vowel suffix exactly when their codes share a suffix
+        of the same length. Codes from two lexicons cannot be compared.
+        """
+        return self._code_memo[word]
 
 
-class _VowelMemo(dict):
-    """Memo of each word's vowel symbols, transcribed on the word's first lookup.
+class _CodeMemo(dict):
+    """Memo of each word's vowel codes, transcribed on the word's first lookup.
+
+    Each distinct symbol gets its own character the first time the lexicon
+    sees it. Characters are drawn from one counter: threads that race on a
+    new symbol keep the first stored character (``setdefault``), and the
+    other one drawn is never used, so no two symbols share a character;
+    ``chr`` bounds a lexicon to 1,114,112 symbols.
 
     It refers to its lexicon weakly: a strong reference would make a cycle,
     and a replaced lexicon would then stay in memory until the cyclic
@@ -85,28 +97,6 @@ class _VowelMemo(dict):
     def __init__(self, lex: Lexicon) -> None:
         super().__init__()
         self._lex = weakref.ref(lex)
-
-    def __missing__(self, word: str) -> tuple[str, ...]:
-        found = self[word] = tuple(filter(is_vowel, transcribe(word, self._lex())))
-        return found
-
-
-class _CodeMemo(dict):
-    """Memo of each word's vowel symbols as a string, one character per symbol.
-
-    Each distinct symbol gets its own character the first time the lexicon
-    sees it, so two words share a vowel suffix exactly when their code
-    strings share a suffix of the same length. Characters are drawn from one
-    counter: threads that race on a new symbol keep the first stored
-    character (``setdefault``), and the other one drawn is never used, so
-    no two symbols share a character; ``chr`` bounds a lexicon to 1,114,112
-    symbols. The memo reads vowels through the lexicon's vowel memo and
-    holds no reference to the lexicon itself.
-    """
-
-    def __init__(self, vowels: _VowelMemo) -> None:
-        super().__init__()
-        self._vowels = vowels
         self._codes: dict[str, str] = {}
         self._next = count()
 
@@ -117,20 +107,9 @@ class _CodeMemo(dict):
             return self._codes.setdefault(symbol, chr(next(self._next)))
 
     def __missing__(self, word: str) -> str:
-        found = self[word] = "".join(map(self._code, self._vowels[word]))
+        vowels = filter(is_vowel, transcribe(word, self._lex()))
+        found = self[word] = "".join(map(self._code, vowels))
         return found
-
-
-@dataclass(frozen=True)
-class VowelSeq:
-    """Concatenated vowel stream of a word sequence.
-
-    ``word_end_marks[i]`` is the number of vowels emitted up to and
-    including word ``i``; words without vowels repeat the previous mark.
-    """
-
-    vowels: tuple[str, ...]
-    word_end_marks: tuple[int, ...]
 
 
 def is_vowel(phoneme: str) -> bool:
@@ -154,21 +133,16 @@ class _StressFree(dict):
 class _LazyEntries(Mapping):
     """Read-only word to phoneme tuple map over raw phoneme strings.
 
-    A word's tuple is parsed on its first lookup and kept. Length,
-    iteration and membership read the raw strings and parse nothing.
+    A word's tuple is parsed each time it is looked up, and not kept.
+    Length, iteration and membership read the raw strings and parse nothing.
     """
 
     def __init__(self, raw: dict[str, str]) -> None:
         self._raw = raw
-        self._parsed: dict[str, Pronunciation] = {}
         self._stress_free = _StressFree().__getitem__
 
     def __getitem__(self, word: str) -> Pronunciation:
-        try:
-            return self._parsed[word]
-        except KeyError:
-            found = self._parsed[word] = tuple(map(self._stress_free, self._raw[word].split()))
-            return found
+        return tuple(map(self._stress_free, self._raw[word].split()))
 
     def get(self, word: str, default=None):
         return self[word] if word in self._raw else default
@@ -192,7 +166,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     Lines look like ``FOOD  F UW1 D``. Comment lines starting with ``;;;``
     and alternate-pronunciation entries like ``FOOD(2)`` are skipped;
     stress digits are stripped. Each line is split once into its word and
-    raw phoneme string; a word's phonemes are parsed on its first lookup,
+    raw phoneme string; a word's phonemes are parsed on each lookup,
     with stress stripped once per distinct phoneme symbol, so all entries
     share one string object per stripped symbol.
     """
@@ -235,8 +209,3 @@ def transcribe(word: str, lex: Lexicon) -> Pronunciation:
     hit = lex.get(word)
     return hit if hit is not None else fallback_pronunciation(word)
 
-
-def vowel_sequence(words: list[str], lex: Lexicon) -> VowelSeq:
-    """Concatenate each word's vowel symbols, marking word ends."""
-    per_word = list(map(lex._vowel_memo.__getitem__, words))
-    return VowelSeq(tuple(chain.from_iterable(per_word)), tuple(accumulate(map(len, per_word))))

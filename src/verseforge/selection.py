@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
 from array import array
 from collections import Counter
@@ -24,7 +25,7 @@ from functools import cached_property
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from .corpus import Document, Verse, read_lines, read_text, split_flat
+from .corpus import Document, UnterminatedFileError, Verse, read_lines, read_text, split_flat
 from .metrics import RhymeConfig, ScoredVerse, ordered_sum, score_verse
 from .phonetics import Lexicon
 from .stripping import default_stopwords
@@ -450,18 +451,29 @@ def save_index(index: RetrievalIndex, dir_path: str | Path) -> None:
     a built index, and :func:`load_index` keeps that order. Whitespace and
     "%" in document ids and vocabulary terms are percent-encoded; other ids
     and terms are written as they are.
+
+    Both files are written under temporary names in ``dir_path`` and then
+    renamed into place, so a save that fails partway leaves any files
+    saved there before as they were.
     """
     if index.word_vectors is not None:
         raise ValueError("only TF-IDF indexes support persistence")
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
-    with (dir_path / VOCAB_FILE).open("w", encoding="utf-8") as fh:
-        for term, dim in sorted(index.vocabulary.items(), key=lambda kv: kv[1]):
-            fh.write(f"{_escape(term)}\t{dim}\t{index.df[term]}\n")
-    with (dir_path / VECTORS_FILE).open("w", encoding="utf-8") as fh:
-        for doc, doc_id in enumerate(index.doc_ids):
-            pairs = " ".join(map("{}:{:.17g}".format, *index.vectors.row(doc)))
-            fh.write(f"{_escape(doc_id)} {pairs}".rstrip() + "\n")
+    staged = {name: dir_path / f"{name}.tmp" for name in (VOCAB_FILE, VECTORS_FILE)}
+    try:
+        with staged[VOCAB_FILE].open("w", encoding="utf-8") as fh:
+            for term, dim in sorted(index.vocabulary.items(), key=lambda kv: kv[1]):
+                fh.write(f"{_escape(term)}\t{dim}\t{index.df[term]}\n")
+        with staged[VECTORS_FILE].open("w", encoding="utf-8") as fh:
+            for doc, doc_id in enumerate(index.doc_ids):
+                pairs = " ".join(map("{}:{:.17g}".format, *index.vectors.row(doc)))
+                fh.write(f"{_escape(doc_id)} {pairs}".rstrip() + "\n")
+        for name, tmp in staged.items():
+            os.replace(tmp, dir_path / name)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
 
 
 def load_index(dir_path: str | Path) -> RetrievalIndex:
@@ -473,9 +485,10 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
     norms at most 1 (plus rounding), as in any L2-normalized vector, so
     every similarity is a cosine. Percent-encoded ids and terms are
     decoded. A malformed file raises ValueError naming the file and line;
-    lines are numbered as ``str.splitlines`` splits the text. Invalid
-    UTF-8 in either file is reported first, then the first bad line of
-    vocabulary.tsv, then that of vectors.txt.
+    lines are numbered as ``str.splitlines`` splits the text. A file with
+    text whose last byte is not ``\\n``, as in a truncated file, is bad at
+    its last line. Invalid UTF-8 in either file is reported first, then the
+    first bad line of vocabulary.tsv, then that of vectors.txt.
 
     vectors.txt is streamed: each line's entries are appended to the
     index's arrays once the line passes, and no line is held after that.
@@ -488,39 +501,46 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
     # once vectors.txt is read; every other error is kept until then.
     vocab_error = vectors_error = None
     n_dims = n_docs = 0
-    for dim, raw in enumerate(read_lines(vocab_path)):
-        n_dims = dim + 1
-        if vocab_error:
-            continue
-        try:
-            term, stored_dim, count = raw.split("\t")
-            term, stored_dim, count = unquote(term), int(stored_dim), int(count)
-            if stored_dim != dim:
-                raise ValueError(f"dimension {stored_dim}, expected {dim}")
-            if term in vocabulary:
-                raise ValueError(f"duplicate term {term!r}")
-        except ValueError as exc:
-            vocab_error = f"{vocab_path}:{dim + 1}: {exc}"
-            continue
-        vocabulary[term] = dim
-        df[term] = count
+    try:
+        for dim, raw in enumerate(read_lines(vocab_path, terminated=True)):
+            n_dims = dim + 1
+            if vocab_error:
+                continue
+            try:
+                term, stored_dim, count = raw.split("\t")
+                term, stored_dim, count = unquote(term), int(stored_dim), int(count)
+                if stored_dim != dim:
+                    raise ValueError(f"dimension {stored_dim}, expected {dim}")
+                if term in vocabulary:
+                    raise ValueError(f"duplicate term {term!r}")
+            except ValueError as exc:
+                vocab_error = f"{vocab_path}:{dim + 1}: {exc}"
+                continue
+            vocabulary[term] = dim
+            df[term] = count
+    except UnterminatedFileError as exc:
+        vocab_error = vocab_error or str(exc)
     doc_ids: list[str] = []
     vectors = SparseRows()
-    for lineno, raw in enumerate(read_lines(vectors_path), start=1):
-        n_docs = lineno
-        if vectors_error:
-            continue
-        parts = raw.split(" ")
-        try:
-            pairs = map(str.split, parts[1:], itertools.repeat(":"))
-            line_dims, line_weights = _checked_vector([(int(d), float(w)) for d, w in pairs], n_dims)
-        except ValueError as exc:
-            vectors_error = f"{vectors_path}:{lineno}: {exc}"
-            continue
-        doc_ids.append(unquote(parts[0]))
-        vectors.cols.extend(line_dims)
-        vectors.weights.extend(line_weights)
-        vectors.offsets.append(len(vectors.cols))
+    try:
+        for lineno, raw in enumerate(read_lines(vectors_path, terminated=True), start=1):
+            n_docs = lineno
+            if vectors_error:
+                continue
+            parts = raw.split(" ")
+            try:
+                pairs = map(str.split, parts[1:], itertools.repeat(":"))
+                entries = [(int(d), float(w)) for d, w in pairs]
+                line_dims, line_weights = _checked_vector(entries, n_dims)
+            except ValueError as exc:
+                vectors_error = f"{vectors_path}:{lineno}: {exc}"
+                continue
+            doc_ids.append(unquote(parts[0]))
+            vectors.cols.extend(line_dims)
+            vectors.weights.extend(line_weights)
+            vectors.offsets.append(len(vectors.cols))
+    except UnterminatedFileError as exc:
+        vectors_error = vectors_error or str(exc)
     for dim, count in enumerate(df.values()):
         if not 1 <= count <= n_docs:
             raise ValueError(f"{vocab_path}:{dim + 1}: document frequency {count} outside 1..{n_docs}")

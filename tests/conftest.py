@@ -251,13 +251,16 @@ def reference_load_index(dir_path: str | Path) -> ReferenceIndex:
     """Reference: the index loader that holds every line of both files.
 
     It checks every vocabulary line before any vectors line, and rejects a
-    line that repeats a dimension once the line has parsed, raising
+    line that repeats a dimension once the line has parsed, or the last
+    line of a file whose text does not end in a newline, raising
     :func:`load_index`'s messages.
     """
     dir_path = Path(dir_path)
     vocab_path, vectors_path = dir_path / VOCAB_FILE, dir_path / VECTORS_FILE
-    vocab_lines = vocab_path.read_text(encoding="utf-8-sig").splitlines()
-    vector_lines = vectors_path.read_text(encoding="utf-8-sig").splitlines()
+    # Bytes, decoded without translating line breaks, to see the last one.
+    vocab_text = vocab_path.read_bytes().decode("utf-8-sig")
+    vectors_text = vectors_path.read_bytes().decode("utf-8-sig")
+    vocab_lines, vector_lines = vocab_text.splitlines(), vectors_text.splitlines()
     n_dims, n_docs = len(vocab_lines), len(vector_lines)
     vocabulary: dict[str, int] = {}
     df: dict[str, int] = {}
@@ -275,6 +278,8 @@ def reference_load_index(dir_path: str | Path) -> ReferenceIndex:
             raise ValueError(f"{vocab_path}:{dim + 1}: {exc}") from None
         vocabulary[term] = dim
         df[term] = count
+    if vocab_text and not vocab_text.endswith("\n"):
+        raise ValueError(f"{vocab_path}:{n_dims}: no final newline (truncated file?)")
     doc_ids: list[str] = []
     vectors: list[dict[int, float]] = []
     for lineno, raw in enumerate(vector_lines, start=1):
@@ -301,6 +306,8 @@ def reference_load_index(dir_path: str | Path) -> ReferenceIndex:
             raise ValueError(f"{vectors_path}:{lineno}: {exc}") from None
         doc_ids.append(unquote(parts[0]))
         vectors.append(vec)
+    if vectors_text and not vectors_text.endswith("\n"):
+        raise ValueError(f"{vectors_path}:{n_docs}: no final newline (truncated file?)")
     return ReferenceIndex(
         doc_ids=doc_ids,
         documents=list(doc_ids),
@@ -311,14 +318,14 @@ def reference_load_index(dir_path: str | Path) -> ReferenceIndex:
 
 
 def uncached_vowels(word: str, lex: Lexicon) -> tuple[str, ...]:
-    """Vowel symbols of ``transcribe(word, lex)``, bypassing the lexicon's vowel memo."""
+    """Vowel symbols of ``transcribe(word, lex)``, bypassing the lexicon's code memo."""
     return tuple(filter(is_vowel, transcribe(word, lex)))
 
 
 def brute_force_lengths(tokens, lex, window=15, exclude_identical=True):
     """Exhaustive (i, j, k) enumeration of matching vowel suffixes.
 
-    Independent of the shipped scan and of the lexicon's vowel memo: the
+    Independent of the shipped scan and of the lexicon's code memo: the
     stream is built from uncached transcriptions, and every candidate k is
     tested by slice comparison over it. Run it over a lexicon from
     :func:`reference_load_lexicon` to keep the lexicon parse out of it too.

@@ -36,8 +36,9 @@ class Check:
     """One command and what it must do.
 
     ``argv`` follows the entry command, or this interpreter if ``python`` is
-    set. ``files`` are written into the temporary directory first. ``ok``
-    gets stdout, stderr and the temporary directory. ``server`` is a script
+    set. ``files`` are written into the temporary directory first, a name
+    holding at most one subdirectory. ``ok`` gets stdout, stderr and the
+    temporary directory. ``server`` is a script
     that this interpreter serves on a free port, ``{port}`` in an argument,
     while the row runs.
     """
@@ -105,6 +106,16 @@ CHECKS = [
         "retrieve_resaved",
         ("retrieve", "--index-dir", "{tmp}/idx", "--query", DOC_A, "--k", "5", "--save-index", "{tmp}/idx2"),
         ok=lambda out, err, tmp: same_tree(tmp / "idx", tmp / "idx2"),
+    ),
+    Check(
+        "retrieve_truncated_index",
+        ("retrieve", "--index-dir", "{tmp}/cut", "--query", DOC_A, "--k", "5"),
+        code=1,
+        # A saved index whose vectors.txt lost its last bytes, mid-weight.
+        files={"cut/vocabulary.tsv": b"night\t0\t1\nrain\t1\t2\n",
+               "cut/vectors.txt": b"doc_a 0:0.6 1:0.8\ndoc_b 1:0.70710678"},
+        ok=lambda out, err, tmp: json.loads(err)
+        == {"error": f"{tmp}/cut/vectors.txt:2: no final newline (truncated file?)"},
     ),
     Check(
         "retrieve_vectors",
@@ -239,6 +250,7 @@ def run(entry: list[str], tmp: Path) -> list[str]:
     failures = []
     for check in CHECKS:
         for name, data in check.files.items():
+            (tmp / name).parent.mkdir(exist_ok=True)
             (tmp / name).write_bytes(data)
         with _serving(check, tmp) as port:
             cmd = [sys.executable] if check.python else list(entry)

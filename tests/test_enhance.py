@@ -21,7 +21,7 @@ from verseforge.enhance import (
 from verseforge.metrics import rhyme_length
 from verseforge.phonetics import Lexicon, Pronunciation
 
-from conftest import FILTER_TOKENS, MIXED_TOKENS, TOY_WORDS, random_verse
+from conftest import FILTER_TOKENS, MIXED_TOKENS, TOY_WORDS, random_verse, uncached_vowels
 
 
 class FixedPredictor:
@@ -75,6 +75,25 @@ def eager_replacement(verse, src_idx, tgt_idx, raw, cfg, lex):
         rl = rhyme_length(cand, src, lex)
         if rl > best_rl:
             best_tok, best_rl = cand, rl
+    return best_tok, best_rl
+
+
+def symbol_replacement(verse, src_idx, tgt_idx, raw, cfg, lex):
+    """Reference: score every top-k candidate on uncached vowel symbol tuples."""
+
+    def rl(a, b):
+        va, vb = uncached_vowels(a, lex), uncached_vowels(b, lex)
+        n = min(len(va), len(vb))
+        return 0 if a == b else max(k for k in range(n + 1) if k == 0 or va[-k:] == vb[-k:])
+
+    src = verse.lines[src_idx][-1]
+    best_tok, best_rl = verse.lines[tgt_idx][-1], rl(src, verse.lines[tgt_idx][-1])
+    for tok, _ in raw.candidates[: cfg.k]:
+        tok = tok.lower()
+        if tok.isalpha() and tok not in cfg.deny_list and rl(tok, src) > best_rl:
+            best_tok, best_rl = tok, rl(tok, src)
+            if cfg.mode == "first_improvement":
+                break
     return best_tok, best_rl
 
 
@@ -312,7 +331,7 @@ class TestVowelIndex:
         assert self.replace(predictor, toy_lex) == ("play", 1)
         (lex, index), = self.indexes(predictor.list).values()
         assert lex is toy_lex
-        assert [tok for tok, _ in index["EY"]] == ["play"]
+        assert [tok for tok, _ in index[toy_lex.vowel_codes("play")[-1]]] == ["play"]
 
     def test_second_lexicon_or_deny_list_gets_its_own_index(self, toy_lex):
         # In lex_b "day" ends on IY, so "free" rhymes with it, not "play".
@@ -333,6 +352,30 @@ class TestVowelIndex:
             assert self.replace(predictor, lex_b, deny) == ("gold", 0)
         assert set(self.indexes(predictor.list)) == {(200, frozenset()), (200, deny.deny_list)}
         assert self.replace(predictor, toy_lex) == ("play", 1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_lexicons_with_different_codes_share_a_list(self, toy_lex, mode):
+        # Both lexicons hold the toy entries, but each codes the vowels in
+        # the order it first sees them, so an index of one list's codes for
+        # one lexicon is wrong for the other. The uses alternate, so from
+        # the second on every use reads an index.
+        first, second = Lexicon(dict(toy_lex.entries)), Lexicon(dict(toy_lex.entries))
+        for lex, words in ((first, TOY_WORDS), (second, TOY_WORDS[::-1])):
+            for word in words:
+                lex.vowel_codes(word)
+        assert first.vowel_codes("hurricane") != second.vowel_codes("hurricane")
+        rng = random.Random(29)
+        predictor = SharedPredictor(rng.sample(MIXED_TOKENS, len(MIXED_TOKENS)))
+        cfg = EnhanceConfig(mode=mode)
+        for n in range(60):
+            lex = (first, second)[n % 2]
+            verse = random_verse(rng, MIXED_TOKENS)
+            src, tgt = rng.sample([0, 1], 2)
+            query = mask_text(verse, tgt)
+            assert get_rhyming_replacement(
+                verse, src, tgt, query, predictor, cfg, lex
+            ) == symbol_replacement(verse, src, tgt, predictor.list, cfg, lex)
+        assert self.indexes(predictor.list)
 
 
 class TestEnhanceVerse:

@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verseforge import selection
 from verseforge.corpus import Document, Verse, tokenize
 from verseforge.metrics import RhymeConfig, repetition_score, rhyme_density
 from verseforge.selection import (
+    VECTORS_FILE,
+    VOCAB_FILE,
     Hypothesis,
     RetrievalIndex,
     SparseRows,
@@ -524,7 +527,8 @@ VOCAB_TERMS = ["cat", "dog", "a%09b", "eel", "t4", "t5", "t6", "t7", "t8"]
 @st.composite
 def index_files(draw) -> tuple[str, str]:
     """The text of a vocabulary.tsv and a vectors.txt: most are valid or
-    break one rule; they hold id-only lines and unsorted dimensions."""
+    break one rule; they hold id-only lines and unsorted dimensions, and
+    one file may be cut short."""
 
     def pair() -> str:
         if draw(st.integers(0, 9)) == 0:
@@ -546,7 +550,11 @@ def index_files(draw) -> tuple[str, str]:
         # A repeated term, a non-integer dimension, a df above N or of 0.
         field, text = draw(st.sampled_from([(0, "dog"), (1, "x"), (2, str(n_docs + 1)), (2, "0")]))
         draw(st.sampled_from(vocab))[field] = text
-    return "".join("\t".join(line) + "\n" for line in vocab), vectors
+    texts = ["".join("\t".join(line) + "\n" for line in vocab), vectors]
+    if draw(st.integers(0, 4)) == 0:
+        cut = draw(st.integers(0, 1))
+        texts[cut] = texts[cut][: -draw(st.integers(1, 7))]
+    return texts[0], texts[1]
 
 
 def load_outcome(loader, dir_path):
@@ -742,6 +750,44 @@ class TestPersistence:
         with pytest.raises(ValueError) as info:
             load_index(tmp_path)
         assert str(info.value) == f"{tmp_path}/{where}: invalid UTF-8 byte 0xff (invalid start byte)"
+
+    def test_truncated_files_are_rejected(self, tmp_path):
+        docs = [make_doc("cat dog dog", "d0"), make_doc("cat fish", "d1"), make_doc("dog eel", "d2")]
+        save_index(build_index(docs, stopwords=NO_STOP), tmp_path)
+        # vectors.txt is cut mid-weight, vocabulary.tsv after its last count.
+        for name, n_lines, cut in ((VECTORS_FILE, 3, 3), (VOCAB_FILE, 4, 1)):
+            path = tmp_path / name
+            saved = path.read_bytes()
+            assert saved.count(b"\n") == n_lines
+            path.write_bytes(saved[:-cut])
+            with pytest.raises(ValueError) as info:
+                load_index(tmp_path)
+            assert str(info.value) == f"{path}:{n_lines}: no final newline (truncated file?)"
+            path.write_bytes(saved)
+        # A dropped whole line still ends in a newline, so this check passes it.
+        vectors = (tmp_path / VECTORS_FILE).read_bytes()
+        (tmp_path / VECTORS_FILE).write_bytes(vectors[: vectors.rindex(b"\n", 0, -1) + 1])
+        assert load_index(tmp_path).n_docs == 2
+
+    @pytest.mark.parametrize("victim", ["fish", "d1"])
+    def test_failed_save_leaves_the_saved_files(self, tmp_path, monkeypatch, victim):
+        old = build_index([make_doc("bird", "d0")], stopwords=NO_STOP)
+        save_index(old, tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert set(before) == {VOCAB_FILE, VECTORS_FILE}
+        escape = selection._escape
+
+        def failing(text):
+            # "fish" fails in vocabulary.tsv, "d1" in vectors.txt.
+            if text == victim:
+                raise OSError("disk full")
+            return escape(text)
+
+        monkeypatch.setattr(selection, "_escape", failing)
+        new = build_index([make_doc("cat dog", "d0"), make_doc("fish", "d1")], stopwords=NO_STOP)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(new, tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @settings(max_examples=400, deadline=None)
     @given(files=index_files())
