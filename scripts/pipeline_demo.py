@@ -9,12 +9,14 @@ offline in a fresh checkout:
 """
 
 import argparse
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+if importlib.util.find_spec("verseforge") is None:
+    sys.path.insert(0, str(REPO / "src"))
 
 from verseforge.cli import PipelineRuntime, load_config, run_pipeline, serve_report
 from verseforge.corpus import Document, tokenize

@@ -19,7 +19,9 @@ from statistics import mean, pstdev
 from urllib.parse import urlsplit
 
 from . import corpus as corpus_mod
-from .corpus import KINDS, Document, Verse, join_lines, load_corpus, load_document, read_text
+from .corpus import (
+    KINDS, Document, Verse, join_lines, load_corpus, load_document, load_verses, read_text,
+)
 from .enhance import (
     EnhanceConfig,
     MaskedPredictor,
@@ -223,7 +225,7 @@ def _predictor(cfg: PipelineConfig) -> MaskedPredictor:
         return RemotePredictor(cfg.endpoint)
     if not cfg.corpus_path:
         raise ConfigError("predictor 'corpus' requires corpus_path")
-    return build_corpus_predictor(_verses(cfg.corpus_path))
+    return build_corpus_predictor(load_verses(cfg.corpus_path))
 
 
 def _strip(
@@ -235,15 +237,6 @@ def _strip(
     """Content words of each document, noised as ``cfg`` says."""
     noise_cfg = NoiseConfig(cfg.drop_rate, cfg.synonym_rate, cfg.seed)
     return strip_corpus(docs, stopwords, cfg.noise, noise_cfg, synonyms)
-
-
-def _verses(path: str, min_lines: int = 4) -> list[Verse]:
-    """Every verse of at least ``min_lines`` lines in a lyrics corpus."""
-    return [
-        verse
-        for doc in load_corpus(path, "lyrics")
-        for verse in corpus_mod.split_verses(doc, min_lines)
-    ]
 
 
 @dataclass
@@ -364,7 +357,7 @@ def _cmd_corpus_stats(args) -> None:
 
 
 def _cmd_corpus_split(args) -> None:
-    for verse in _verses(args.path, args.min_lines):
+    for verse in load_verses(args.path, args.min_lines):
         _emit({"doc": verse.source_doc, "text": join_lines(verse.lines)})
 
 
@@ -398,11 +391,11 @@ def _cmd_pair(args) -> None:
 def _cmd_analyze(args) -> None:
     cfg = _flag_config(args)
     lex = _lexicon(cfg)
-    verses = _verses(args.path, args.min_lines)
+    verses = load_verses(args.path, args.min_lines)
     input_tokens = (
         load_document(args.input, "news").all_tokens() if args.input else None
     )
-    references = _verses(args.reference, args.min_lines) if args.reference else None
+    references = load_verses(args.reference, args.min_lines) if args.reference else None
     if references is not None and len(references) != len(verses):
         raise ValueError(
             f"reference count {len(references)} does not match verse count {len(verses)}"
@@ -421,7 +414,7 @@ def _cmd_enhance(args) -> None:
     cfg = _flag_config(args)
     runtime = PipelineRuntime.from_config(cfg)
     lex = runtime.lexicon
-    for verse in _verses(args.path, args.min_lines):
+    for verse in load_verses(args.path, args.min_lines):
         enhanced = enhance_verse(verse, runtime.predictor, runtime.enhance_cfg, lex)
         _emit({
             "doc": verse.source_doc,
@@ -462,7 +455,7 @@ def _cmd_retrieve(args) -> None:
     elif args.corpus:
         if args.split_verses and args.kind == "news":
             raise ConfigError("--split-verses reads a lyrics corpus, not --kind news")
-        docs = _verses(args.corpus) if args.split_verses else load_corpus(args.corpus, args.kind or "lyrics")
+        docs = load_verses(args.corpus) if args.split_verses else load_corpus(args.corpus, args.kind or "lyrics")
         if args.vectors:
             index = build_vector_index(docs, load_word_vectors(args.vectors))
         else:

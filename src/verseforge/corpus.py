@@ -355,3 +355,8 @@ def load_corpus(path: str | Path, kind: str) -> list[Document]:
             )
         )
     return docs
+
+
+def load_verses(path: str | Path, min_lines: int = 4) -> list[Verse]:
+    """Every verse of at least ``min_lines`` lines in a lyrics corpus."""
+    return [verse for doc in load_corpus(path, "lyrics") for verse in split_verses(doc, min_lines)]

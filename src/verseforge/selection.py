@@ -483,12 +483,16 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
     document frequency in ``1..N``; vectors.txt dimensions must be below
     ``V`` and appear at most once per line, weights in [0, 1] and squared
     norms at most 1 (plus rounding), as in any L2-normalized vector, so
-    every similarity is a cosine. Percent-encoded ids and terms are
-    decoded. A malformed file raises ValueError naming the file and line;
-    lines are numbered as ``str.splitlines`` splits the text. A file with
-    text whose last byte is not ``\\n``, as in a truncated file, is bad at
-    its last line. Invalid UTF-8 in either file is reported first, then the
-    first bad line of vocabulary.tsv, then that of vectors.txt.
+    every similarity is a cosine. The two files must agree as a built
+    index's do: dimension d is held by ``df[d]`` lines of vectors.txt, or,
+    when ``df[d]`` is N, by every line that holds any entry. Percent-encoded
+    ids and terms are decoded. A malformed file raises ValueError naming the
+    file and line; lines are numbered as ``str.splitlines`` splits the
+    text. A file with text whose last byte is not ``\\n``, as in a truncated
+    file, is bad at its last line. Invalid UTF-8 in either file is reported
+    first, then the first bad line of vocabulary.tsv, then that of
+    vectors.txt, then the first vocabulary.tsv line whose df disagrees with
+    vectors.txt.
 
     vectors.txt is streamed: each line's entries are appended to the
     index's arrays once the line passes, and no line is held after that.
@@ -546,6 +550,17 @@ def load_index(dir_path: str | Path) -> RetrievalIndex:
             raise ValueError(f"{vocab_path}:{dim + 1}: document frequency {count} outside 1..{n_docs}")
     if vocab_error or vectors_error:
         raise ValueError(vocab_error or vectors_error)
+    # Built, a dimension is held by the rows of its df documents; at df == N
+    # its idf is 0, and a row whose every weight is 0 is stored empty.
+    held = Counter(vectors.cols)
+    offsets = vectors.offsets
+    n_empty = sum(map(operator.eq, offsets, offsets[1:]))
+    for dim, count in enumerate(df.values()):
+        if held[dim] != (count if count < n_docs else n_docs - n_empty):
+            raise ValueError(
+                f"{vocab_path}:{dim + 1}: document frequency {count}, but dimension "
+                f"{dim} is held by {held[dim]} of {n_docs} lines of {VECTORS_FILE}"
+            )
     return RetrievalIndex(
         doc_ids=doc_ids,
         documents=list(doc_ids),

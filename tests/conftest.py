@@ -252,7 +252,9 @@ def reference_load_index(dir_path: str | Path) -> ReferenceIndex:
 
     It checks every vocabulary line before any vectors line, and rejects a
     line that repeats a dimension once the line has parsed, or the last
-    line of a file whose text does not end in a newline, raising
+    line of a file whose text does not end in a newline. Last, it counts
+    the vectors holding each term's dimension against the term's df: all
+    vectors with an entry when df is N, else df. It raises
     :func:`load_index`'s messages.
     """
     dir_path = Path(dir_path)
@@ -308,6 +310,14 @@ def reference_load_index(dir_path: str | Path) -> ReferenceIndex:
         vectors.append(vec)
     if vectors_text and not vectors_text.endswith("\n"):
         raise ValueError(f"{vectors_path}:{n_docs}: no final newline (truncated file?)")
+    n_nonempty = len([vec for vec in vectors if vec])
+    for term, dim in vocabulary.items():
+        holding = len([vec for vec in vectors if dim in vec])
+        if holding != (n_nonempty if df[term] == n_docs else df[term]):
+            raise ValueError(
+                f"{vocab_path}:{dim + 1}: document frequency {df[term]}, but dimension "
+                f"{dim} is held by {holding} of {n_docs} lines of {VECTORS_FILE}"
+            )
     return ReferenceIndex(
         doc_ids=doc_ids,
         documents=list(doc_ids),

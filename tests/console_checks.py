@@ -38,9 +38,9 @@ class Check:
     ``argv`` follows the entry command, or this interpreter if ``python`` is
     set. ``files`` are written into the temporary directory first, a name
     holding at most one subdirectory. ``ok`` gets stdout, stderr and the
-    temporary directory. ``server`` is a script
-    that this interpreter serves on a free port, ``{port}`` in an argument,
-    while the row runs.
+    temporary directory. ``server`` is the argv of a server that this
+    interpreter runs on a free port, ``{port}`` in an argument, while the
+    row runs: a script, or ``-m`` and a module.
     """
 
     name: str
@@ -202,6 +202,12 @@ CHECKS = [
         "enhance_corpus",
         ("enhance", DOC_A, "--predictor", "corpus", "--corpus", MINI, "--lexicon", LEXICON),
         ok=lambda out, err, tmp: out == stdout_of(tmp, "enhance_remote"),
+    ),
+    Check(
+        "enhance_remote_module",
+        ("enhance", DOC_A, "--predictor", "remote", "--endpoint", "http://127.0.0.1:{port}", "--lexicon", LEXICON),
+        server=("-m", "verseforge.server", "--corpus", MINI, "--port", "{port}"),
+        ok=lambda out, err, tmp: out == stdout_of(tmp, "enhance_corpus"),
     ),
 ]
 

@@ -1,4 +1,5 @@
-"""The HTTP stack is imported by the remote predictor's first request only.
+"""The HTTP stack is imported by the remote predictor's first request only,
+and the scripts find the package without shadowing an importable one.
 
 Each check runs in a fresh interpreter: this test process has imported
 ``requests`` already (``test_remote`` does), so its ``sys.modules`` shows
@@ -16,7 +17,8 @@ import pytest
 from conftest import DATA_DIR, PKG_DATA_DIR
 from test_remote import StubServer
 
-SRC = Path(__file__).parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MINI = DATA_DIR / "mini_corpus"
 LEXICON = PKG_DATA_DIR / "cmudict_sample.txt"
 HTTP_MODULES = ("requests", "urllib3")
@@ -47,13 +49,23 @@ def run_main(*argv) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_package_import_leaves_http_stack_unloaded():
+def loaded_after(statement: str, modules) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after running ``statement``."""
     proc = run_python(
-        "import sys, verseforge, verseforge.cli\n"
-        f"print([m for m in {HTTP_MODULES!r} if m in sys.modules])"
+        f"import json, sys\n{statement}\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout)
+
+
+def test_package_import_leaves_http_stack_unloaded():
+    modules = (*HTTP_MODULES, "http.server", "socketserver")
+    assert loaded_after("import verseforge, verseforge.cli", modules) == []
+
+
+def test_server_import_leaves_http_client_unloaded():
+    assert loaded_after("import verseforge.server", HTTP_MODULES) == []
 
 
 @pytest.mark.parametrize(
@@ -152,3 +164,38 @@ def test_remote_enhance_without_requests_is_a_json_error():
     error = json.loads(line)["error"]
     assert error.startswith("predictor failed (mask_index=")
     assert "requests" in error
+
+
+# Runs a script without its ``__main__`` block, so no server starts, and
+# prints whether it changed ``sys.path`` and where ``verseforge`` came from.
+RUN_SCRIPT = """
+import json, runpy, sys
+before = list(sys.path)
+runpy.run_path(sys.argv[1])
+print(json.dumps({"path_changed": sys.path != before, "package": sys.modules["verseforge"].__file__}))
+"""
+
+
+@pytest.mark.parametrize("script", ["predictor_server.py", "pipeline_demo.py"])
+def test_script_leaves_sys_path_when_package_is_importable(script):
+    proc = run_python(RUN_SCRIPT, ROOT / "scripts" / script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "path_changed": False, "package": str(SRC / "verseforge" / "__init__.py")
+    }
+
+
+def test_server_script_imports_the_checkout_when_package_is_not_importable():
+    # -S hides site-packages, where an installed copy would be found.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_SCRIPT + "import verseforge.server as m; print(m.__file__)",
+         str(ROOT / "scripts" / "predictor_server.py")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, server_file = proc.stdout.splitlines()
+    assert json.loads(status) == {
+        "path_changed": True, "package": str(SRC / "verseforge" / "__init__.py")
+    }
+    assert server_file == str(SRC / "verseforge" / "server.py")

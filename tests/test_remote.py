@@ -3,19 +3,17 @@
 import contextlib
 import dataclasses
 import http.client
-import importlib.util
 import json
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import pytest
 import requests
 from hypothesis import example, given, settings, strategies as st
 
-from verseforge.corpus import Verse
+from verseforge.corpus import Verse, load_verses
 from verseforge.enhance import (
     CandidateList,
     EnhanceConfig,
@@ -24,9 +22,11 @@ from verseforge.enhance import (
     PredictorRetryableError,
     RemotePredictor,
     _parse_response,
+    build_corpus_predictor,
     enhance_verse,
     remote_predict,
 )
+from verseforge.server import make_handler
 
 from conftest import reference_parse_response
 
@@ -410,19 +410,10 @@ def test_cli_remote_failure_reports_retryable_error(capsys, tmp_path):
     assert "attempts" in json.loads(err)["error"]
 
 
-def _load_predictor_server():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "predictor_server.py"
-    spec = importlib.util.spec_from_file_location("predictor_server", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @contextlib.contextmanager
 def _serving(predictor):
-    """Serve ``scripts/predictor_server.py``'s handler over ``predictor`` on loopback."""
-    handler = _load_predictor_server().make_handler(predictor)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    """Serve ``verseforge.server``'s handler over ``predictor`` on loopback."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), make_handler(predictor))
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
     )
@@ -438,24 +429,20 @@ def _serving(predictor):
 
 @pytest.fixture
 def predictor_server():
-    """Address of ``scripts/predictor_server.py``'s handler on a loopback port."""
-    script = _load_predictor_server()
-    predictor = script.build_corpus_predictor([Verse([["day", "way"], ["play", "day"]])])
+    """Address of ``verseforge.server``'s handler on a loopback port."""
+    predictor = build_corpus_predictor([Verse([["day", "way"], ["play", "day"]])])
     with _serving(predictor) as address:
         yield address
 
 
 def test_served_corpus_predictor_enhances_as_the_in_process_one(capsys):
-    # The served predictor is built as scripts/predictor_server.py builds it
-    # without --lexicon.
+    # The served predictor is built as verseforge.server.main builds it.
     from verseforge.cli import main
     from conftest import DATA_DIR, PKG_DATA_DIR
 
     mini = str(DATA_DIR / "mini_corpus")
     lexicon = str(PKG_DATA_DIR / "cmudict_sample.txt")
-    script = _load_predictor_server()
-    verses = [v for doc in script.load_corpus(mini, "lyrics") for v in script.split_verses(doc, 4)]
-    with _serving(script.build_corpus_predictor(verses, script.Lexicon())) as (host, port):
+    with _serving(build_corpus_predictor(load_verses(mini))) as (host, port):
         endpoint = f"http://{host}:{port}"
         code = main(["enhance", mini, "--predictor", "remote", "--endpoint", endpoint, "--lexicon", lexicon])
         remote = capsys.readouterr().out
@@ -531,9 +518,8 @@ def test_predictor_server_threads_never_mix_bodies():
     # More client threads than cores, each alternating k, so the server's
     # handler threads keep swapping the kept reply while others read it.
     # Long lists keep each encoding slow enough for threads to overlap it.
-    script = _load_predictor_server()
     words = [f"w{i:03d}" for i in range(300)]
-    predictor = script.build_corpus_predictor(
+    predictor = build_corpus_predictor(
         [Verse([words[i:i + 10]]) for i in range(0, 300, 10)]
     )
     ks = (100, 200, 300)

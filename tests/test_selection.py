@@ -4,6 +4,7 @@ import random
 import tempfile
 import tracemalloc
 from array import array
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verseforge import selection
-from verseforge.corpus import Document, Verse, tokenize
+from verseforge.corpus import Document, Verse, load_corpus, tokenize
 from verseforge.metrics import RhymeConfig, repetition_score, rhyme_density
 from verseforge.selection import (
     VECTORS_FILE,
@@ -37,6 +38,7 @@ from verseforge.selection import (
 )
 
 from conftest import (
+    DATA_DIR,
     random_verse,
     reference_build_index,
     reference_load_index,
@@ -528,7 +530,14 @@ VOCAB_TERMS = ["cat", "dog", "a%09b", "eel", "t4", "t5", "t6", "t7", "t8"]
 def index_files(draw) -> tuple[str, str]:
     """The text of a vocabulary.tsv and a vectors.txt: most are valid or
     break one rule; they hold id-only lines and unsorted dimensions, and
-    one file may be cut short."""
+    one file may be cut short.
+
+    Each df is the count of lines holding its dimension, or N when that is
+    every line with entries, as in a built index. Most draws first put each
+    dimension that no line holds on one line, with weight 0; a dimension
+    still held by none gets any df. Some draws then move one df to the next
+    value in 1..N.
+    """
 
     def pair() -> str:
         if draw(st.integers(0, 9)) == 0:
@@ -536,16 +545,35 @@ def index_files(draw) -> tuple[str, str]:
         return f"{draw(st.sampled_from(DIM_TEXTS))}:{draw(st.sampled_from(WEIGHT_TEXTS))}"
 
     lines = [
-        " ".join([draw(st.sampled_from(ID_TEXTS)), *(pair() for _ in range(draw(st.integers(0, 3))))])
+        [draw(st.sampled_from(ID_TEXTS)), *(pair() for _ in range(draw(st.integers(0, 3))))]
         for _ in range(draw(st.integers(0, 6)))
     ]
-    vectors = "".join(line + "\n" for line in lines)
-    n_docs = len(vectors.splitlines())
+    # Lines per dimension, as int() reads the good pairs.
+    holding = Counter()
+    for line in lines:
+        holding.update({int(p.split(":")[0]) for p in line[1:] if p not in BAD_PAIRS})
     n_terms = draw(st.sampled_from([len(VOCAB_TERMS), len(VOCAB_TERMS), 0, 1, 4]))
-    vocab = [
-        [term, str(dim), str(draw(st.integers(1, max(n_docs, 1))))]
-        for dim, term in enumerate(VOCAB_TERMS[:n_terms])
-    ]
+    if lines and draw(st.integers(0, 3)) < 3:
+        for dim in range(n_terms):
+            if not holding[dim]:
+                draw(st.sampled_from(lines)).append(f"{dim}:0")
+                holding[dim] = 1
+    vectors = "".join(" ".join(line) + "\n" for line in lines)
+    n_docs = len(vectors.splitlines())
+    n_nonempty = len([line for line in lines if len(line) > 1])
+
+    def df(dim: int) -> int:
+        if n_nonempty and not holding[dim]:
+            return draw(st.integers(1, n_docs))
+        if holding[dim] == n_nonempty and not (holding[dim] and draw(st.booleans())):
+            return n_docs
+        return holding[dim]
+
+    dfs = [df(dim) for dim in range(n_terms)]
+    if dfs and n_docs and draw(st.integers(0, 2)) == 2:
+        moved = draw(st.integers(0, n_terms - 1))
+        dfs[moved] = dfs[moved] % n_docs + 1
+    vocab = [[term, str(dim), str(n)] for dim, (term, n) in enumerate(zip(VOCAB_TERMS, dfs))]
     if vocab and draw(st.integers(0, 4)) == 0:
         # A repeated term, a non-integer dimension, a df above N or of 0.
         field, text = draw(st.sampled_from([(0, "dog"), (1, "x"), (2, str(n_docs + 1)), (2, "0")]))
@@ -764,10 +792,43 @@ class TestPersistence:
                 load_index(tmp_path)
             assert str(info.value) == f"{path}:{n_lines}: no final newline (truncated file?)"
             path.write_bytes(saved)
-        # A dropped whole line still ends in a newline, so this check passes it.
-        vectors = (tmp_path / VECTORS_FILE).read_bytes()
-        (tmp_path / VECTORS_FILE).write_bytes(vectors[: vectors.rindex(b"\n", 0, -1) + 1])
-        assert load_index(tmp_path).n_docs == 2
+
+    def test_mixed_pairs_are_rejected(self, tmp_path):
+        # a from the mini corpus, b from two of its documents, each pair of
+        # files saved together, then one file of each put beside the other.
+        docs = load_corpus(DATA_DIR / "mini_corpus", "lyrics")
+        save_index(build_index(docs), tmp_path / "a")
+        save_index(build_index(docs[:2]), tmp_path / "b")
+        for vocab, vectors in (("a", "b"), ("b", "a")):
+            mixed = tmp_path / f"{vocab}{vectors}"
+            mixed.mkdir()
+            (mixed / VOCAB_FILE).write_bytes((tmp_path / vocab / VOCAB_FILE).read_bytes())
+            (mixed / VECTORS_FILE).write_bytes((tmp_path / vectors / VECTORS_FILE).read_bytes())
+        with pytest.raises(ValueError) as info:
+            load_index(tmp_path / "ab")
+        assert str(info.value) == (
+            f"{tmp_path / 'ab' / VOCAB_FILE}:17: document frequency 2, "
+            "but dimension 16 is held by 1 of 2 lines of vectors.txt"
+        )
+        with pytest.raises(ValueError) as info:
+            load_index(tmp_path / "ba")
+        assert str(info.value) == f"{tmp_path / 'ba' / VECTORS_FILE}:1: dimension outside 0..36"
+
+    def test_dropped_vectors_line_is_rejected(self, tmp_path):
+        docs = [make_doc("cat dog dog", "d0"), make_doc("cat fish", "d1"), make_doc("dog eel", "d2")]
+        save_index(build_index(docs, stopwords=NO_STOP), tmp_path)
+        vectors = (tmp_path / VECTORS_FILE).read_text(encoding="utf-8").splitlines(keepends=True)
+        # Dimensions: cat 0 (df 2), dog 1 (df 2), eel 2 (df 1), fish 3 (df 1).
+        # Each line's first dimension is the first its loss leaves short.
+        for dropped, dim in ((0, 0), (1, 0), (2, 1)):
+            kept = vectors[:dropped] + vectors[dropped + 1:]
+            (tmp_path / VECTORS_FILE).write_text("".join(kept), encoding="utf-8")
+            with pytest.raises(ValueError) as info:
+                load_index(tmp_path)
+            assert str(info.value) == (
+                f"{tmp_path / VOCAB_FILE}:{dim + 1}: document frequency 2, "
+                f"but dimension {dim} is held by 1 of 2 lines of vectors.txt"
+            )
 
     @pytest.mark.parametrize("victim", ["fish", "d1"])
     def test_failed_save_leaves_the_saved_files(self, tmp_path, monkeypatch, victim):
